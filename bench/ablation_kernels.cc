@@ -1,19 +1,28 @@
 // Kernel-layer ablation (DESIGN.md §10) on the fig8 Beatles-scale melody
 // workload:
 //
-//   1. raw kernel throughput (GB/s) for every SIMD tier this machine can
-//      run — the LB_Keogh inner loop and the banded LDTW row update;
+//   1. per SIMD tier this machine can run: LB_Keogh kernel throughput (GB/s)
+//      and the exact-DTW stage time on the cascade's finalists, then the
+//      lane-parallel LDTW kernel against the scalar one-at-a-time reference
+//      over interleaved repetitions, on the same finalists;
 //   2. whole-cascade A/B of the dispatched tier against HUMDEX_FORCE_SCALAR
 //      semantics (ScopedKernelOverride), measuring the LB-filter speedup;
 //   3. cascade stage table — candidates, per-stage pruning rates, exact-DTW
 //      calls — with the Kim and LB_Improved stages toggled, verifying the
-//      stages strictly reduce exact-DTW work without changing any answer.
+//      stages strictly reduce exact-DTW work without changing any answer,
+//      plus the LB_Improved on/off wall time.
+//
+// Exits non-zero if any answer differs between tiers, stages or kernels, and
+// on AVX2 hosts if either same-host ratio misses 2x: the Keogh LB filter
+// against scalar, or the lane LDTW kernel against the scalar reference.
 //
 // Every headline number also lands in the metrics registry, so running with
 // --metrics_out=BENCH_kernels.json gives CI a machine-readable artifact of
 // cascade stage timings and pruning rates.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 #include "common.h"
 #include "gemini/query_engine.h"
@@ -22,6 +31,7 @@
 #include "ts/dtw.h"
 #include "ts/envelope.h"
 #include "ts/kernels.h"
+#include "ts/lower_bound.h"
 #include "util/random.h"
 #include "util/stats.h"
 
@@ -67,24 +77,62 @@ double MeasureSqDistGbps(const kernels::KernelTable& table,
   return bytes / static_cast<double>(elapsed);
 }
 
-// GB/s of the LDTW row kernel, measured through the full banded DP (the row
-// update dominates): bytes = DP cells touched * (prev+cur+y) doubles.
-double MeasureLdtwGbps(const std::vector<Series>& data, std::size_t band) {
-  double sink = 0.0;
-  std::size_t pairs = 0;
-  const std::uint64_t t0 = obs::MonotonicNowNs();
-  std::uint64_t elapsed = 0;
-  while (elapsed < 200'000'000ULL) {
-    for (std::size_t i = 0; i + 1 < data.size(); i += 2) {
-      sink += SquaredLdtwDistance(data[i], data[i + 1], band);
-      ++pairs;
+// The exact-DTW stage's input: per query, the corpus rows that survive the
+// cascade's lower bounds (Keogh both ways, then LB_Improved) at the range
+// threshold — the same finalists the engine verifies, without the index.
+std::vector<std::vector<const double*>> CascadeFinalists(
+    const std::vector<Series>& normals, const std::vector<Series>& queries,
+    std::size_t band, double prune_sq) {
+  std::vector<Envelope> envs;
+  for (const Series& s : normals) envs.push_back(BuildEnvelope(s, band));
+  std::vector<std::vector<const double*>> out;
+  for (const Series& q : queries) {
+    Envelope env_q = BuildEnvelope(q, band);
+    std::vector<const double*> rows;
+    for (std::size_t i = 0; i < normals.size(); ++i) {
+      double keogh_sq = SquaredDistanceToEnvelope(normals[i], env_q, prune_sq);
+      if (keogh_sq > prune_sq ||
+          SquaredDistanceToEnvelope(q, envs[i], prune_sq) > prune_sq) {
+        continue;
+      }
+      if (keogh_sq + SquaredLbImprovedSecondPass(normals[i], q, env_q, band,
+                                                 prune_sq - keogh_sq) >
+          prune_sq) {
+        continue;
+      }
+      rows.push_back(normals[i].data());
     }
-    elapsed = obs::MonotonicNowNs() - t0;
+    out.push_back(std::move(rows));
   }
-  if (sink == 42.0) std::printf(" ");
-  double cells = static_cast<double>(pairs) * static_cast<double>(kLen) *
-                 static_cast<double>(2 * band + 1);
-  return cells * 3.0 * sizeof(double) / static_cast<double>(elapsed);
+  return out;
+}
+
+// One pass of the exact-DTW stage: every query against its finalists,
+// `batch` candidates per kernel call (the engine's kMaxLdtwLanes; 1 is the
+// one-at-a-time reference). Returns wall ns; answers land in `out`.
+double DtwStageNs(const kernels::KernelTable& table, std::size_t batch,
+                  const std::vector<Series>& queries,
+                  const std::vector<std::vector<const double*>>& finalists,
+                  std::size_t band, double prune_sq, std::vector<double>* out) {
+  std::vector<double> scratch(kernels::LdtwScratchDoubles(kLen));
+  out->clear();
+  const std::uint64_t t0 = obs::MonotonicNowNs();
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    const std::vector<const double*>& rows = finalists[q];
+    const std::size_t base = out->size();
+    out->resize(base + rows.size());
+    for (std::size_t b = 0; b < rows.size(); b += batch) {
+      table.ldtw_lanes(queries[q].data(), kLen, rows.data() + b, kLen,
+                       std::min(batch, rows.size() - b), band, prune_sq,
+                       scratch.data(), out->data() + base + b);
+    }
+  }
+  return static_cast<double>(obs::MonotonicNowNs() - t0);
+}
+
+bool BitIdentical(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
 struct CascadeRun {
@@ -139,25 +187,65 @@ int Run() {
   const double radius = Percentile(dists, 10.0);
   std::printf("Calibration radius (10th pct pairwise DTW): %.3f\n", radius);
 
-  // --- 1. raw kernel throughput per tier -------------------------------
-  std::printf("\n--- kernel throughput by SIMD tier ---\n");
+  // --- 1. kernel throughput and DTW-stage time per tier --------------
+  const double prune_sq = radius * radius * (1.0 + 1e-12);
+  const auto finalists = CascadeFinalists(normals, queries, band, prune_sq);
+  std::size_t finalist_count = 0;
+  for (const auto& f : finalists) finalist_count += f.size();
+  std::printf("\n--- kernels by SIMD tier (%zu DTW finalists) ---\n",
+              finalist_count);
   Envelope env = BuildEnvelope(queries[0], band);
-  Table tiers({"Tier", "sq_dist_to_box GB/s", "ldtw_row GB/s"});
-  double scalar_lb_gbps = 0.0;
+  const kernels::KernelTable& scalar_table = kernels::ScalarKernels();
+  std::vector<double> ref_answers, answers;
+  DtwStageNs(scalar_table, 1, queries, finalists, band, prune_sq,
+             &ref_answers);
+  bool lanes_match = true;
+  Table tiers({"Tier", "sq_dist_to_box GB/s", "DTW stage ms", "identical"});
   for (SimdLevel level : AvailableLevels()) {
-    kernels::ScopedKernelOverride force(level);
-    double lb_gbps =
-        MeasureSqDistGbps(kernels::ActiveKernels(), normals, env);
-    double dtw_gbps = MeasureLdtwGbps(normals, band);
-    if (level == SimdLevel::kScalar) scalar_lb_gbps = lb_gbps;
+    const kernels::KernelTable& table = *kernels::KernelTableFor(level);
+    double lb_gbps = MeasureSqDistGbps(table, normals, env);
+    double dtw_ns = DtwStageNs(table, kernels::kMaxLdtwLanes, queries,
+                               finalists, band, prune_sq, &answers);
+    const bool same = BitIdentical(ref_answers, answers);
+    lanes_match = lanes_match && same;
     tiers.AddRow({SimdLevelName(level), Table::Num(lb_gbps, 2),
-                  Table::Num(dtw_gbps, 2)});
+                  Table::Num(dtw_ns / 1e6, 2), same ? "yes" : "NO"});
     G(std::string("gbps.sq_dist_to_box.") + SimdLevelName(level))
         .Set(static_cast<std::int64_t>(lb_gbps * 1000.0));
-    G(std::string("gbps.ldtw_row.") + SimdLevelName(level))
-        .Set(static_cast<std::int64_t>(dtw_gbps * 1000.0));
+    G(std::string("dtw_stage_us.") + SimdLevelName(level))
+        .Set(static_cast<std::int64_t>(dtw_ns / 1000.0));
   }
   tiers.Print();
+
+  // Same-host ratio: the dispatched lane kernel against the scalar
+  // one-at-a-time reference, alternating which runs first.
+  constexpr int kReps = 9;
+  const kernels::KernelTable& active = kernels::ActiveKernels();
+  std::vector<double> ratios;
+  for (int rep = 0; rep < kReps; ++rep) {
+    double ref_ns = 0.0, lane_ns = 0.0;
+    for (int side = 0; side < 2; ++side) {
+      if ((side == 0) == (rep % 2 == 0)) {
+        ref_ns = DtwStageNs(scalar_table, 1, queries, finalists, band,
+                            prune_sq, &ref_answers);
+      } else {
+        lane_ns = DtwStageNs(active, kernels::kMaxLdtwLanes, queries,
+                             finalists, band, prune_sq, &answers);
+        lanes_match = lanes_match && BitIdentical(ref_answers, answers);
+      }
+    }
+    ratios.push_back(ref_ns / lane_ns);
+  }
+  const double lane_speedup = Median(ratios);
+  std::printf(
+      "DTW stage, scalar one-at-a-time / %s lanes: median %.2fx over %d "
+      "interleaved reps (min %.2fx, max %.2fx); answers %s\n",
+      active.name, lane_speedup, kReps,
+      *std::min_element(ratios.begin(), ratios.end()),
+      *std::max_element(ratios.begin(), ratios.end()),
+      lanes_match ? "BIT-IDENTICAL" : "DIVERGED");
+  G("dtw_lane_speedup_milli")
+      .Set(static_cast<std::int64_t>(lane_speedup * 1000.0));
 
   // --- 2. whole-query LB-filter speedup, dispatched vs forced scalar ---
   std::printf("\n--- cascade stage timings: dispatched tier vs scalar ---\n");
@@ -237,15 +325,28 @@ int Run() {
   std::printf("Answer sets across ablations (%zu results): %s\n", result_count,
               same_answers ? "IDENTICAL" : "DIVERGED");
 
-  bool ok = answers_match && same_answers && dtw_reduced && lb_speedup > 0.0;
-  // The >=2x LB-filter bar only binds when an AVX2 tier is actually
-  // dispatched; scalar-only builds (HUMDEX_SIMD=OFF, non-x86) report 1x.
-  if (std::string(kernels::ActiveKernels().name) == "avx2") {
+  // LB_Improved on/off wall time, median of interleaved repetitions.
+  std::vector<double> wall_on, wall_off;
+  for (int rep = 0; rep < 5; ++rep) {
+    wall_off.push_back(RunCascade(normals, queries, radius, true, false).wall_ns);
+    wall_on.push_back(RunCascade(normals, queries, radius, true, true).wall_ns);
+  }
+  std::printf("LB_Improved wall time (median of 5): off %.1f ms, on %.1f ms\n",
+              Median(wall_off) / 1e6, Median(wall_on) / 1e6);
+  G("wall_us.improved_off").Set(static_cast<std::int64_t>(Median(wall_off) / 1e3));
+  G("wall_us.improved_on").Set(static_cast<std::int64_t>(Median(wall_on) / 1e3));
+
+  bool ok = answers_match && same_answers && dtw_reduced && lanes_match &&
+            lb_speedup > 0.0;
+  // The >=2x bars only bind when an AVX2 tier is actually dispatched;
+  // scalar-only builds (HUMDEX_SIMD=OFF, non-x86) report 1x.
+  if (std::string(active.name) == "avx2") {
     std::printf("AVX2 LB-filter bar (>= 2x vs scalar): %s\n",
                 lb_speedup >= 2.0 ? "MET" : "MISSED");
-    ok = ok && lb_speedup >= 2.0;
+    std::printf("AVX2 lane LDTW bar (>= 2x vs scalar one-at-a-time): %s\n",
+                lane_speedup >= 2.0 ? "MET" : "MISSED");
+    ok = ok && lb_speedup >= 2.0 && lane_speedup >= 2.0;
   }
-  (void)scalar_lb_gbps;
   return ok ? 0 : 1;
 }
 

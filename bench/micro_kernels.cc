@@ -98,7 +98,11 @@ void BM_SqDistToBoxKernel(benchmark::State& state) {
 BENCHMARK(BM_SqDistToBoxKernel)
     ->ArgsProduct({{128, 1024}, {0, 1, 2}});
 
-void BM_LdtwRowKernel(benchmark::State& state) {
+// Lane-parallel banded LDTW: one query against 64 candidates per
+// iteration, no abandoning, through an explicit tier (the scalar tier runs
+// them one at a time). Items are candidates, so items/s compares tiers
+// directly.
+void BM_LdtwLanesKernel(benchmark::State& state) {
   auto n = static_cast<std::size_t>(state.range(0));
   auto level = static_cast<SimdLevel>(state.range(1));
   const kernels::KernelTable* table = kernels::KernelTableFor(level);
@@ -106,25 +110,24 @@ void BM_LdtwRowKernel(benchmark::State& state) {
     state.SkipWithError("tier unsupported on this CPU/build");
     return;
   }
-  auto d = Data(2, n);
-  // One padding slot ahead of each DP row, matching ts/dtw.cc's layout: the
-  // base pointers are offset by one so index jlo-1 == -1 reads the pad.
-  std::vector<double> prev_row(n + 1, 1.0), cur_row(n + 1, kInfiniteDistance);
-  std::vector<double> cost(n), t1(n);
-  prev_row[0] = kInfiniteDistance;
-  double* prev = prev_row.data() + 1;
-  double* cur = cur_row.data() + 1;
+  constexpr std::size_t kCandidates = 64;
+  auto d = Data(kCandidates + 1, n);
+  std::vector<const double*> rows;
+  for (std::size_t c = 1; c <= kCandidates; ++c) rows.push_back(d[c].data());
+  const std::size_t k = BandRadiusForWidth(0.1, n);
+  std::vector<double> scratch(kernels::LdtwScratchDoubles(n));
+  std::vector<double> out(kCandidates);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(table->ldtw_row_update(d[0][n / 2], d[1].data(),
-                                                    prev, cur, 0, n - 1,
-                                                    cost.data(), t1.data()));
+    table->ldtw_lanes(d[0].data(), n, rows.data(), n, kCandidates, k,
+                      kInfiniteDistance, scratch.data(), out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetLabel(table->name);
-  // Per DP cell: read y[j] + prev[j] (prev[j-1] overlaps), write cur[j].
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * n * 3 *
-                                                    sizeof(double)));
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * kCandidates));
 }
-BENCHMARK(BM_LdtwRowKernel)
+BENCHMARK(BM_LdtwLanesKernel)
     ->ArgsProduct({{128, 1024}, {0, 1, 2}});
 
 // Delta+bitpack series codec (ts/codec.h), the v3 checkpoint payload format.

@@ -4,7 +4,9 @@
 #      ablations (reference-point pruning; mapped v3 checkpoint open);
 #   2. ThreadSanitizer build (-DHUMDEX_SANITIZE=thread), running the
 #      parallel-read-path tests (thread pool, batch queries, buffer pool
-#      stress) so the thread-safety guarantees are mechanically checked —
+#      stress) and the TCP server's start/serve/stop tests (accept thread
+#      vs Stop, connection threads) so the thread-safety guarantees are
+#      mechanically checked —
 #      once with the dispatched SIMD tier and once under
 #      HUMDEX_FORCE_SCALAR=1, so both kernel paths race under TSan;
 #   3. ASan+UBSan build (-DHUMDEX_SANITIZE=address+undefined), running the
@@ -46,13 +48,13 @@ echo "== [2/5] ThreadSanitizer build + concurrency tests =="
 cmake -B build-tsan -S . -DHUMDEX_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" --target \
   thread_pool_test parallel_query_test buffer_pool_stress_test buffer_pool_test \
-  metrics_stress_test online_update_test
+  metrics_stress_test online_update_test server_test
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'ThreadPool|ParallelQuery|QbhQueryBatch|BufferPool|MetricsStress|ConcurrentWriter'
+  -R 'ThreadPool|ParallelQuery|QbhQueryBatch|BufferPool|MetricsStress|ConcurrentWriter|HumdexServer'
 # Same concurrency tests with the dispatcher demoted to the scalar
 # reference, so both kernel paths race under TSan.
 HUMDEX_FORCE_SCALAR=1 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'ThreadPool|ParallelQuery|QbhQueryBatch|BufferPool|MetricsStress|ConcurrentWriter'
+  -R 'ThreadPool|ParallelQuery|QbhQueryBatch|BufferPool|MetricsStress|ConcurrentWriter|HumdexServer'
 
 echo "== [3/5] ASan+UBSan build + robustness tests =="
 cmake -B build-asan -S . -DHUMDEX_SANITIZE=address+undefined >/dev/null

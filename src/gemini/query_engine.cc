@@ -69,9 +69,10 @@ std::shared_ptr<double> AllocateSeriesRows(std::size_t bytes) {
 
 // The LB filter checks the clock only every kLbCheckStride candidates: an
 // LbKeogh call is a few hundred ns, so a per-candidate clock read would be
-// measurable there. Exact DTW is microseconds per candidate, so the DTW
-// stage checks every candidate.
+// measurable there. Exact DTW checks once per kDtwBatch candidates, one
+// lane-kernel call of a few microseconds per candidate.
 constexpr std::size_t kLbCheckStride = 16;
+constexpr std::size_t kDtwBatch = kernels::kMaxLdtwLanes;
 
 // Hard cap on LB_Triangle references: the arena pivot rows and the v2 file
 // format both assume a small fixed set (the bound's payoff flattens long
@@ -133,6 +134,31 @@ class StopGuard {
   const QueryOptions& qopts_;
   bool stopped_ = false;
 };
+
+// Exact LDTW of `query` against candidates [0, count), kDtwBatch per
+// lane-kernel call: row(i) is candidate i's arena row, and done(i, d_sq)
+// receives its exact squared distance, or +infinity once abandoned at
+// threshold_sq. Stops between calls once `guard` trips, and counts only real
+// candidates (never padding lanes) in local->exact_dtw_calls.
+template <typename RowFn, typename DoneFn>
+void VerifyExact(const Series& query, std::size_t count, RowFn row,
+                 std::size_t band_k, double threshold_sq, StopGuard& guard,
+                 QueryStats* local, DoneFn done) {
+  const kernels::KernelTable& kern = kernels::ActiveKernels();
+  const std::size_t n = query.size();
+  std::vector<double> scratch(kernels::LdtwScratchDoubles(n));
+  const double* rows[kDtwBatch];
+  double d_sq[kDtwBatch];
+  for (std::size_t b = 0; b < count; b += kDtwBatch) {
+    if (guard.Stopped(local)) break;
+    const std::size_t batch = std::min(kDtwBatch, count - b);
+    for (std::size_t c = 0; c < batch; ++c) rows[c] = row(b + c);
+    kern.ldtw_lanes(query.data(), n, rows, n, batch, band_k, threshold_sq,
+                    scratch.data(), d_sq);
+    local->exact_dtw_calls += batch;
+    for (std::size_t c = 0; c < batch; ++c) done(b + c, d_sq[c]);
+  }
+}
 
 }  // namespace
 
@@ -593,23 +619,22 @@ std::vector<Neighbor> DtwQueryEngine::RangeQueryImpl(
   local.improved_ns = t_improved - t_lb;
 
   // Step 5: exact banded DTW, squared with early abandoning at the same
-  // slacked threshold; one sqrt per accepted candidate, and the plain-space
-  // `d <= epsilon` comparison stays the authoritative acceptance test.
-  // Checked per candidate: whatever verified before expiry is returned
-  // (still exact for those ids).
+  // slacked threshold, kDtwBatch finalists per lane-kernel call; one sqrt
+  // per accepted candidate, and the plain-space `d <= epsilon` comparison
+  // stays the authoritative acceptance test. Checked per batch: whatever
+  // verified before expiry is returned (still exact for those ids).
   std::vector<Neighbor> out;
   if (!guard.stopped()) {
     HUMDEX_SPAN(span, "query.range.exact_dtw");
-    for (const Survivor& s : finalists) {
-      if (guard.Stopped(&local)) break;
-      ++local.exact_dtw_calls;
-      double d_sq = SquaredLdtwDistanceEarlyAbandon(query, data_[s.pos].series,
-                                                    band_k_, prune_sq);
-      if (d_sq <= prune_sq) {
-        double d = std::sqrt(d_sq);
-        if (d <= epsilon) out.push_back({s.id, d});
-      }
-    }
+    VerifyExact(
+        query, finalists.size(),
+        [&](std::size_t i) { return arena_.series(finalists[i].pos); },
+        band_k_, prune_sq, guard, &local, [&](std::size_t i, double d_sq) {
+          if (d_sq <= prune_sq) {
+            double d = std::sqrt(d_sq);
+            if (d <= epsilon) out.push_back({finalists[i].id, d});
+          }
+        });
     std::sort(out.begin(), out.end());
     local.results = out.size();
     HUMDEX_SPAN_ATTR(span, "dtw_calls",
@@ -672,13 +697,19 @@ std::vector<Neighbor> DtwQueryEngine::KnnQuery(const Series& query, std::size_t 
         feature_index_.NearestFeatures(query, k, &istats);
     local.page_accesses += istats.page_accesses;
     seed_exact.reserve(seeds.size());
-    for (const Neighbor& s : seeds) {
-      if (guard.Stopped(&local)) break;
-      ++local.exact_dtw_calls;
-      double d = LdtwDistance(query, ItemFor(s.id).series, band_k_);
-      seed_exact.push_back({s.id, d});
-      radius = std::max(radius, d);
-    }
+    VerifyExact(
+        query, seeds.size(),
+        [&](std::size_t i) {
+          const std::size_t pos = PosForId(seeds[i].id);
+          HUMDEX_CHECK(pos != SIZE_MAX);
+          return arena_.series(pos);
+        },
+        band_k_, kInfiniteDistance, guard, &local,
+        [&](std::size_t i, double d_sq) {
+          double d = std::sqrt(d_sq);
+          seed_exact.push_back({seeds[i].id, d});
+          radius = std::max(radius, d);
+        });
     if (!std::isfinite(radius)) {
       // Degenerate: no path in band for seeds (cannot happen for equal-length
       // normal forms, but keep the fallback total).

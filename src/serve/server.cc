@@ -159,21 +159,22 @@ Status HumdexServer::Start() {
   }
   listen_fd_ = fd;
   stopping_.store(false, std::memory_order_relaxed);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  accept_thread_ = std::thread([this, fd] { AcceptLoop(fd); });
   return Status::OK();
 }
 
 void HumdexServer::Stop() {
   if (listen_fd_ < 0 && !accept_thread_.joinable()) return;
   stopping_.store(true, std::memory_order_relaxed);
+  // Shutdown wakes the blocked accept(); close alone does not on all
+  // platforms. The descriptor is closed only after the accept thread has
+  // exited, so that thread never sees it change or get reused.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    // Shutdown wakes the blocked accept(); close alone does not on all
-    // platforms.
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   std::vector<std::thread> threads;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -187,9 +188,9 @@ void HumdexServer::Stop() {
   conn_fds_.clear();
 }
 
-void HumdexServer::AcceptLoop() {
+void HumdexServer::AcceptLoop(int listen_fd) {
   while (!stopping_.load(std::memory_order_relaxed)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       break;  // listener closed (Stop) or fatal

@@ -67,7 +67,9 @@ class HumdexServer {
   std::string HandlePayload(const std::string& payload) const;
 
  private:
-  void AcceptLoop();
+  /// Runs on accept_thread_; takes the listener by value because Stop()
+  /// owns listen_fd_ and closes it only after joining this thread.
+  void AcceptLoop(int listen_fd);
   void ServeConnection(int fd);
 
   ShardedEngine* engine_;

@@ -12,58 +12,23 @@ namespace {
 
 inline double Sq(double d) { return d * d; }
 
-// Shared banded DP. `threshold_sq` enables early abandoning; pass infinity to
-// disable. Returns squared distance or infinity. The per-row update runs
-// through the dispatched SIMD kernel (ts/kernels.h); every variant produces
-// the bit-identical row the original serial recurrence did, because the
-// cur[j-1] chain stays serial and the vectorized cost/t1 precomputation is
-// element-wise (min over the prev-row pair commutes with adding the cell
-// cost under IEEE rounding monotonicity).
+// Single-pair banded DP: the scalar reference of the lane kernel
+// (ts/kernels.h), on per-thread scratch that is reused across calls.
+// `threshold_sq` enables early abandoning; pass infinity to disable. Returns
+// squared distance or infinity. Batches of candidates go through the
+// dispatched lane kernel instead (gemini/query_engine.cc); both produce the
+// same bits.
 double SquaredLdtwDistanceImpl(const Series& x, const Series& y, std::size_t k,
                                double threshold_sq) {
   HUMDEX_CHECK(!x.empty() && !y.empty());
-  const std::size_t n = x.size(), m = y.size();
-  const std::size_t len_diff = n > m ? n - m : m - n;
-  if (len_diff > k) return kInfiniteDistance;
-
-  const kernels::KernelTable& kern = kernels::ActiveKernels();
-  // Row i covers j in [i-k, i+k] clamped to [0, m). One padding slot in
-  // front of each row buffer lets the kernel read index jlo-1
-  // unconditionally; the pads hold infinity forever.
-  std::vector<double> row_a(m + 1, kInfiniteDistance);
-  std::vector<double> row_b(m + 1, kInfiniteDistance);
-  double* prev = row_a.data() + 1;
-  double* cur = row_b.data() + 1;
-  const std::size_t band_width = k < m ? std::min(m, 2 * k + 1) : m;
-  std::vector<double> cost_buf(band_width), t1_buf(band_width);
-
-  // Row 0: only the left-neighbor recurrence contributes.
-  {
-    const std::size_t jhi = std::min(m - 1, k);
-    cur[0] = Sq(x[0] - y[0]);
-    double row_min = cur[0];
-    for (std::size_t j = 1; j <= jhi; ++j) {
-      double cost = Sq(x[0] - y[j]);
-      cur[j] = cur[j - 1] == kInfiniteDistance ? kInfiniteDistance
-                                               : cost + cur[j - 1];
-      row_min = std::min(row_min, cur[j]);
-    }
-    if (row_min > threshold_sq) return kInfiniteDistance;
-    std::swap(prev, cur);
-  }
-
-  for (std::size_t i = 1; i < n; ++i) {
-    const std::size_t jlo = i > k ? i - k : 0;
-    const std::size_t jhi = std::min(m - 1, i + k);
-    // Clear the slot left of the band so the next row's prev[jlo-1] read
-    // sees infinity (the write lands on the pad when jlo == 0).
-    cur[static_cast<std::ptrdiff_t>(jlo) - 1] = kInfiniteDistance;
-    double row_min = kern.ldtw_row_update(x[i], y.data(), prev, cur, jlo, jhi,
-                                          cost_buf.data(), t1_buf.data());
-    if (row_min > threshold_sq) return kInfiniteDistance;
-    std::swap(prev, cur);
-  }
-  return prev[m - 1];
+  thread_local std::vector<double> scratch;
+  const std::size_t need = kernels::LdtwScratchDoubles(y.size());
+  if (scratch.size() < need) scratch.resize(need);
+  const double* row = y.data();
+  double out = kInfiniteDistance;
+  kernels::ScalarKernels().ldtw_lanes(x.data(), x.size(), &row, y.size(), 1,
+                                      k, threshold_sq, scratch.data(), &out);
+  return out;
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 #include "ts/envelope.h"
 
 #include <cmath>
-#include <deque>
 #include <limits>
+#include <vector>
 
 #include "ts/kernels.h"
 #include "util/status.h"
@@ -22,36 +22,48 @@ bool Envelope::Contains(const Series& x, double eps) const {
 
 namespace {
 
-// Sliding-window extremum over window [i-k, i+k] via monotonic deque.
-// cmp(a, b) true means a should evict b from the back of the deque.
-template <typename Cmp>
-Series SlidingExtremum(const Series& x, std::size_t k, Cmp cmp) {
-  const std::size_t n = x.size();
-  Series out(n);
-  std::deque<std::size_t> dq;  // indices, extremum at front
+// Sliding-window extremum over window [i-k, i+k] via a monotonic index queue
+// held in window[head, tail): every index enters once, so n slots suffice.
+// keeps(a, b) true means an older a stays ahead of a newer b; otherwise the
+// newer value evicts it, so on ties the newer index wins.
+template <typename Keeps>
+void SlidingExtremum(const double* x, std::size_t n, std::size_t k,
+                     Keeps keeps, double* out, std::size_t* window) {
+  std::size_t head = 0, tail = 0;  // extremum at window[head]
   // Window for position i covers [i-k, i+k]; process arrival of index j and
   // emit position i = j - k once j >= k.
   for (std::size_t j = 0; j < n + k; ++j) {
     if (j < n) {
-      while (!dq.empty() && !cmp(x[dq.back()], x[j])) dq.pop_back();
-      dq.push_back(j);
+      while (tail > head && !keeps(x[window[tail - 1]], x[j])) --tail;
+      window[tail++] = j;
     }
     if (j >= k) {
       std::size_t i = j - k;
-      while (!dq.empty() && dq.front() + k < i) dq.pop_front();
-      out[i] = x[dq.front()];
+      while (tail > head && window[head] + k < i) ++head;
+      out[i] = x[window[head]];
     }
   }
-  return out;
 }
 
 }  // namespace
 
+void BuildEnvelopeInto(const double* x, std::size_t n, std::size_t k,
+                       double* lower, double* upper, std::size_t* window) {
+  SlidingExtremum(x, n, k, [](double a, double b) { return a > b; }, upper,
+                  window);
+  SlidingExtremum(x, n, k, [](double a, double b) { return a < b; }, lower,
+                  window);
+}
+
 Envelope BuildEnvelope(const Series& x, std::size_t k) {
   HUMDEX_CHECK(!x.empty());
+  const std::size_t n = x.size();
   Envelope e;
-  e.upper = SlidingExtremum(x, k, [](double a, double b) { return a > b; });
-  e.lower = SlidingExtremum(x, k, [](double a, double b) { return a < b; });
+  e.lower.resize(n);
+  e.upper.resize(n);
+  std::vector<std::size_t> window(n);
+  BuildEnvelopeInto(x.data(), n, k, e.lower.data(), e.upper.data(),
+                    window.data());
   return e;
 }
 

@@ -26,6 +26,14 @@ struct Envelope {
 /// Lemire ascending-minima algorithm, so large k costs the same as small k.
 Envelope BuildEnvelope(const Series& x, std::size_t k);
 
+/// BuildEnvelope over caller storage, for allocation-free hot loops: writes
+/// the k-envelope of x[0, n) to lower[0, n) and upper[0, n), using `window`
+/// (n indices) as the sliding-window queue. Bit-identical to BuildEnvelope,
+/// ties included: a newer value equal to the current extremum replaces it,
+/// so -0.0 and +0.0 resolve the same way in both.
+void BuildEnvelopeInto(const double* x, std::size_t n, std::size_t k,
+                       double* lower, double* upper, std::size_t* window);
+
 /// Distance between a series and an envelope (Definition 7):
 ///   min over all z inside e of D(x, z)
 /// which evaluates pointwise to the clamp distance. Lengths must match.

@@ -40,19 +40,22 @@ double SqDistToBoxScalar(const double* x, const double* lo, const double* hi,
   return detail::SqDistTail(x, lo, hi, j, n, detail::HSum4(acc));
 }
 
-double LdtwRowUpdateScalar(double xi, const double* y, const double* prev,
-                           double* cur, std::size_t jlo, std::size_t jhi,
-                           double* cost_buf, double* t1_buf) {
-  for (std::size_t j = jlo; j <= jhi; ++j) {
-    std::size_t idx = j - jlo;
-    double diff = xi - y[j];
-    double c = diff * diff;
-    double a = detail::ScalarMin(prev[j], prev[j - 1]);
-    cost_buf[idx] = c;
-    t1_buf[idx] = a == kInf ? kInf : c + a;
+// One double per "vector": the LDTW reference every SIMD lane reproduces.
+struct ScalarLane {
+  static constexpr std::size_t kLanes = 1;
+  using Reg = double;
+  static double Load(const double* p) { return *p; }
+  static void Store(double* p, double v) { *p = v; }
+  static double Set1(double v) { return v; }
+  static double Add(double a, double b) { return a + b; }
+  static double Sub(double a, double b) { return a - b; }
+  static double Mul(double a, double b) { return a * b; }
+  static double Min(double a, double b) { return a < b ? a : b; }
+  static double AddUnlessInf(double c, double a) {
+    return a == kInf ? kInf : c + a;
   }
-  return detail::LdtwSerialPass(cost_buf, t1_buf, cur, jlo, jhi);
-}
+  static unsigned GtMask(double a, double b) { return a > b ? 1u : 0u; }
+};
 
 void DeltaDecodeScalar(const std::int64_t* m, std::size_t n, double v0,
                        double scale, double* out) {
@@ -62,7 +65,7 @@ void DeltaDecodeScalar(const std::int64_t* m, std::size_t n, double v0,
 constexpr KernelTable kScalarTable = {
     SqDistToBoxScalar,
     SqDistToBoxScalar,  // MINDIST-to-rect is the same clamp-excess sum
-    LdtwRowUpdateScalar,
+    detail::LdtwLanes<ScalarLane>,
     DeltaDecodeScalar,
     "scalar",
 };

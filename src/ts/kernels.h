@@ -1,22 +1,27 @@
-// Runtime-dispatched SIMD kernels for the three hot loops of the query
-// cascade (see DESIGN.md §10):
+// Runtime-dispatched SIMD kernels for the hot loops of the query cascade
+// (see DESIGN.md §10):
 //
 //   1. early-abandoning squared distance-to-envelope — the LB_Keogh /
 //      LB_Improved inner loop (ts/envelope.h, ts/lower_bound.h);
-//   2. the banded LDTW row update — the exact-DTW inner loop (ts/dtw.cc);
-//   3. squared MINDIST from a feature vector to a query rectangle — the
+//   2. squared MINDIST from a feature vector to a query rectangle — the
 //      feature-index candidate test (index/rect.cc). Pointwise this is the
 //      same clamp-excess computation as (1), so both entries may share an
-//      implementation.
+//      implementation;
+//   3. lane-parallel banded LDTW — exact verification of several candidates
+//      against one query, one candidate per SIMD lane (ts/dtw.cc,
+//      gemini/query_engine.cc);
+//   4. the delta+bitpack codec's value reconstruction (ts/codec.h).
 //
 // Variants (scalar / SSE2 / AVX2+FMA) are selected once at startup via
 // util/cpu.h. Every variant is BIT-IDENTICAL to the scalar reference on the
 // same inputs: reductions use a fixed 4-lane blocked summation order
 // (mirrored exactly by the scalar reference), element-wise operations avoid
 // reassociation and FMA contraction, and min/max use x86 minpd/maxpd operand
-// semantics. The cascade layers a relative threshold slack on top, so even
-// the blocked-vs-sequential ulp difference against pre-kernel code can never
-// produce a false dismissal (query_engine.cc).
+// semantics. The LDTW kernel needs no reduction order at all: each lane runs
+// the scalar recurrence on its own candidate. The cascade layers a relative
+// threshold slack on top, so even the blocked-vs-sequential ulp difference
+// against pre-kernel code can never produce a false dismissal
+// (query_engine.cc).
 #pragma once
 
 #include <cstddef>
@@ -46,20 +51,33 @@ using SqDistToBoxFn = double (*)(const double* x, const double* lo,
                                  const double* hi, std::size_t n,
                                  double abandon_at_sq);
 
-/// One row of the banded LDTW dynamic program (ts/dtw.cc). For j in
-/// [jlo, jhi] computes
-///   cost[j]  = (xi - y[j])^2
-///   t1[j]    = min(prev[j], prev[j-1]) + cost[j]   (inf-propagating)
-///   cur[j]   = min(t1[j], cur[j-1] + cost[j])      (inf-propagating)
-/// and returns the row minimum (for threshold early abandoning). `prev` and
-/// `cur` are base pointers indexed by absolute j; the caller guarantees
-/// index jlo-1 is readable on both (the DP rows carry one padding slot).
-/// `cost_buf` and `t1_buf` are caller scratch of at least jhi-jlo+1 doubles.
-/// Only the cost/t1 precomputation is vectorized; the cur[j-1] recurrence is
-/// a shared serial pass, so all variants produce bit-identical rows.
-using LdtwRowFn = double (*)(double xi, const double* y, const double* prev,
-                             double* cur, std::size_t jlo, std::size_t jhi,
-                             double* cost_buf, double* t1_buf);
+/// Widest lane group any LDTW variant runs (two interleaved 4-lane AVX2
+/// chains); sizes the caller's scratch.
+inline constexpr std::size_t kMaxLdtwLanes = 8;
+
+/// Doubles of scratch an LdtwLanesFn call needs for candidates of length m:
+/// the lane-transposed candidate rows plus two padded DP rows per lane.
+inline constexpr std::size_t LdtwScratchDoubles(std::size_t m) {
+  return kMaxLdtwLanes * (3 * m + 2);
+}
+
+/// Squared k-local DTW (ts/dtw.h) of one query x[0, n) against `count`
+/// candidates ys[c][0, m), with early abandoning: out_sq[c] is the exact
+/// squared distance, or +infinity when no path fits the band (|n - m| > k)
+/// or some DP row's minimum exceeded `threshold_sq` (pass +infinity to
+/// disable abandoning). `scratch` holds LdtwScratchDoubles(m) doubles.
+///
+/// The SIMD variants run one candidate per lane: the candidate rows are
+/// transposed into scratch, x[i] is broadcast, and each lane evaluates
+/// exactly the scalar reference's recurrence, so every output is
+/// bit-identical to the scalar reference by construction. A lane group stops
+/// once every lane has abandoned; a ragged last group pads its spare lanes
+/// with a copy of a live candidate and discards their results.
+using LdtwLanesFn = void (*)(const double* x, std::size_t n,
+                             const double* const* ys, std::size_t m,
+                             std::size_t count, std::size_t k,
+                             double threshold_sq, double* scratch,
+                             double* out_sq);
 
 /// Value reconstruction pass of the delta+bitpack series codec (ts/codec.h):
 ///   out[i] = v0 + static_cast<double>(m[i]) * scale    for i in [0, n)
@@ -77,7 +95,7 @@ struct KernelTable {
   SqDistToBoxFn sq_dist_to_box;
   SqDistToBoxFn mindist_sq_to_rect;  // alias of the same math, kept as its
                                      // own entry so profiles name it
-  LdtwRowFn ldtw_row_update;
+  LdtwLanesFn ldtw_lanes;
   DeltaDecodeFn delta_decode;
   const char* name;
 };

@@ -48,36 +48,31 @@ double SqDistToBoxAvx2(const double* x, const double* lo, const double* hi,
   return detail::SqDistTail(x, lo, hi, j, n, HSum256(acc));
 }
 
-double LdtwRowUpdateAvx2(double xi, const double* y, const double* prev,
-                         double* cur, std::size_t jlo, std::size_t jhi,
-                         double* cost_buf, double* t1_buf) {
-  const __m256d xiv = _mm256_set1_pd(xi);
-  const __m256d infv = _mm256_set1_pd(kInf);
-  const std::size_t len = jhi - jlo + 1;
-  const std::size_t len4 = len & ~std::size_t{3};
-  std::size_t idx = 0;
-  for (; idx < len4; idx += 4) {
-    std::size_t j = jlo + idx;
-    __m256d diff = _mm256_sub_pd(xiv, _mm256_loadu_pd(y + j));
-    __m256d c = _mm256_mul_pd(diff, diff);
-    // min_pd(prev[j-1], prev[j]) == ScalarMin(prev[j], prev[j-1]).
-    __m256d a =
-        _mm256_min_pd(_mm256_loadu_pd(prev + j - 1), _mm256_loadu_pd(prev + j));
-    __m256d mask = _mm256_cmp_pd(a, infv, _CMP_EQ_OQ);
-    __m256d t1 = _mm256_blendv_pd(_mm256_add_pd(c, a), infv, mask);
-    _mm256_storeu_pd(cost_buf + idx, c);
-    _mm256_storeu_pd(t1_buf + idx, t1);
+// One candidate per lane. No FMA: the lane recurrence must round like the
+// scalar reference. The table runs two of these groups interleaved
+// (LanePair, 8 candidates), which hides the add -> min latency of the row
+// chain: one 4-lane chain took 1.13x as long on the serving path
+// (DESIGN.md §10).
+struct Avx2Lanes {
+  static constexpr std::size_t kLanes = 4;
+  using Reg = __m256d;
+  static Reg Load(const double* p) { return _mm256_loadu_pd(p); }
+  static void Store(double* p, Reg r) { _mm256_storeu_pd(p, r); }
+  static Reg Set1(double v) { return _mm256_set1_pd(v); }
+  static Reg Add(Reg a, Reg b) { return _mm256_add_pd(a, b); }
+  static Reg Sub(Reg a, Reg b) { return _mm256_sub_pd(a, b); }
+  static Reg Mul(Reg a, Reg b) { return _mm256_mul_pd(a, b); }
+  static Reg Min(Reg a, Reg b) { return _mm256_min_pd(a, b); }
+  static Reg AddUnlessInf(Reg c, Reg a) {
+    const Reg inf = _mm256_set1_pd(kInf);
+    return _mm256_blendv_pd(_mm256_add_pd(c, a), inf,
+                            _mm256_cmp_pd(a, inf, _CMP_EQ_OQ));
   }
-  for (; idx < len; ++idx) {
-    std::size_t j = jlo + idx;
-    double diff = xi - y[j];
-    double c = diff * diff;
-    double a = detail::ScalarMin(prev[j], prev[j - 1]);
-    cost_buf[idx] = c;
-    t1_buf[idx] = a == kInf ? kInf : c + a;
+  static unsigned GtMask(Reg a, Reg b) {
+    return static_cast<unsigned>(
+        _mm256_movemask_pd(_mm256_cmp_pd(a, b, _CMP_GT_OQ)));
   }
-  return detail::LdtwSerialPass(cost_buf, t1_buf, cur, jlo, jhi);
-}
+};
 
 void DeltaDecodeAvx2(const std::int64_t* m, std::size_t n, double v0,
                      double scale, double* out) {
@@ -105,7 +100,7 @@ extern const KernelTable kAvx2Table;
 const KernelTable kAvx2Table = {
     SqDistToBoxAvx2,
     SqDistToBoxAvx2,
-    LdtwRowUpdateAvx2,
+    detail::LdtwLanes<detail::LanePair<Avx2Lanes>>,
     DeltaDecodeAvx2,
     "avx2",
 };

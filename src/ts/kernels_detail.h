@@ -2,18 +2,22 @@
 // AVX2). Everything here defines the CANONICAL arithmetic the SIMD variants
 // must reproduce bit-for-bit:
 //
-//   - ScalarMin / ScalarMax mirror x86 minpd/maxpd operand semantics
-//     ((a OP b) ? a : b, NaN in the comparison selects b), so a vector
-//     min/max and the scalar reference pick identical bit patterns;
+//   - ScalarMax mirrors x86 maxpd operand semantics ((a > b) ? a : b, NaN
+//     in the comparison selects b), so a vector max and the scalar reference
+//     pick identical bit patterns (LdtwLanes' traits do the same for min);
 //   - BoxExcess is the branchless clamp-excess max(x-hi, lo-x, 0) — the
 //     branchless form is canonical so +-inf inputs behave identically in
 //     every variant;
 //   - HSum4 fixes the 4-lane reduction order (l0+l2)+(l1+l3);
-//   - SqDistTail / LdtwSerialPass are the shared scalar epilogues.
+//   - SqDistTail is the shared scalar epilogue of the box distance;
+//   - LdtwLanes is the one banded-LDTW implementation, instantiated per tier
+//     with that tier's lane-vector traits (the scalar reference with one
+//     double per "vector").
 //
 // Not a public header: include only from ts/kernels*.cc.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -26,9 +30,6 @@ inline constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// maxpd(a, b): (a > b) ? a : b; NaN comparisons select b.
 inline double ScalarMax(double a, double b) { return a > b ? a : b; }
-
-/// minpd semantics matching std::min(p, q) == (q < p) ? q : p.
-inline double ScalarMin(double p, double q) { return q < p ? q : p; }
 
 /// Clamp excess of x against [lo, hi], branchless canonical form.
 inline double BoxExcess(double x, double lo, double hi) {
@@ -50,22 +51,144 @@ inline double SqDistTail(const double* x, const double* lo, const double* hi,
   return s;
 }
 
-/// Shared serial pass of the LDTW row update: resolves the cur[j-1]
-/// recurrence from the vectorized cost/t1 buffers. Identical in every
-/// variant, so row bit-equality reduces to cost/t1 bit-equality.
-inline double LdtwSerialPass(const double* cost_buf, const double* t1_buf,
-                             double* cur, std::size_t jlo, std::size_t jhi) {
-  double row_min = kInf;
-  for (std::size_t j = jlo; j <= jhi; ++j) {
-    std::size_t idx = j - jlo;
-    double cl = cur[j - 1];
-    double t2 = cl == kInf ? kInf : cost_buf[idx] + cl;
-    double v = ScalarMin(t1_buf[idx], t2);
-    cur[j] = v;
-    row_min = ScalarMin(row_min, v);
+/// Banded LDTW over lane groups (contract: kernels.h, LdtwLanesFn). `V` is a
+/// lane-vector traits type providing
+///
+///   kLanes, Reg, Load(p), Store(p, r), Set1(v), Add, Sub, Mul,
+///   Min(a, b)           per lane a < b ? a : b (minpd operand order),
+///   AddUnlessInf(c, a)  per lane a == inf ? inf : c + a,
+///   GtMask(a, b)        bit l set iff lane l has a > b (false on NaN).
+///
+/// Every lane evaluates the same per-cell recurrence as the one-lane scalar
+/// instantiation, so each output is bit-identical to it:
+///
+///   c     = (x[i] - y[j])^2
+///   t1    = min(prev[j-1], prev[j]) + c          (inf-propagating)
+///   cur_j = min(cur[j-1] + c, t1)
+///
+/// The left term needs no inf guard: it only differs from a guarded sum when
+/// c is NaN, and then the min selects t1 either way. Row 0 has no t1 and
+/// keeps the guard. DP rows are indexed by absolute j, with one pad slot in
+/// front.
+template <class V>
+void LdtwLanes(const double* x, std::size_t n, const double* const* ys,
+               std::size_t m, std::size_t count, std::size_t k,
+               double threshold_sq, double* scratch, double* out_sq) {
+  using Reg = typename V::Reg;
+  constexpr std::size_t L = V::kLanes;
+  constexpr unsigned kAllDead = (1u << L) - 1;
+  const std::size_t len_diff = n > m ? n - m : m - n;
+  if (len_diff > k) {
+    std::fill(out_sq, out_sq + count, kInf);
+    return;
   }
-  return row_min;
+  double* row_a = scratch;
+  double* row_b = row_a + (m + 1) * L;
+  double* yt = row_b + (m + 1) * L;  // yt[j * L + l] = candidate l's y[j]
+  const Reg inf = V::Set1(kInf);
+  const Reg thr = V::Set1(threshold_sq);
+  for (std::size_t base = 0; base < count; base += L) {
+    const std::size_t live = std::min(L, count - base);
+    const double* src[L];
+    for (std::size_t l = 0; l < L; ++l) src[l] = ys[base + (l < live ? l : 0)];
+    // The lane-transposed rows are filled on demand, a few columns ahead of
+    // the band, so a group whose lanes all abandon early transposes little.
+    const double* y = src[0];
+    std::size_t ready = 0;
+    auto transpose_through = [&](std::size_t jhi) {
+      if constexpr (L > 1) {
+        if (jhi < ready) return;
+        const std::size_t end = std::min(m, jhi + 8);
+        for (; ready < end; ++ready) {
+          for (std::size_t l = 0; l < L; ++l) yt[ready * L + l] = src[l][ready];
+        }
+        y = yt;
+      }
+    };
+    double* prev = row_a + L;
+    double* cur = row_b + L;
+    // Each row writes infinity just outside both ends of its band, the pad
+    // slot (index -1) included, so the next row's prev[j-1] and prev[j]
+    // reads never see a stale or uninitialized cell.
+    auto fence = [&](double* row, std::size_t jlo, std::size_t jhi) {
+      V::Store(row + jlo * L - L, inf);
+      if (jhi + 1 < m) V::Store(row + (jhi + 1) * L, inf);
+    };
+    unsigned dead = 0;
+    {
+      // Row 0: only the left-neighbour recurrence contributes.
+      const Reg xi = V::Set1(x[0]);
+      const std::size_t jhi = std::min(m - 1, k);
+      transpose_through(jhi);
+      fence(cur, 0, jhi);
+      Reg d = V::Sub(xi, V::Load(y));
+      Reg left = V::Mul(d, d);
+      Reg row_min = left;
+      V::Store(cur, left);
+      for (std::size_t j = 1; j <= jhi; ++j) {
+        d = V::Sub(xi, V::Load(y + j * L));
+        left = V::AddUnlessInf(V::Mul(d, d), left);
+        V::Store(cur + j * L, left);
+        row_min = V::Min(left, row_min);
+      }
+      dead |= V::GtMask(row_min, thr);
+      std::swap(prev, cur);
+    }
+    for (std::size_t i = 1; i < n && dead != kAllDead; ++i) {
+      const std::size_t jlo = i > k ? i - k : 0;
+      const std::size_t jhi = std::min(m - 1, i + k);
+      transpose_through(jhi);
+      fence(cur, jlo, jhi);
+      const Reg xi = V::Set1(x[i]);
+      Reg left = inf;
+      Reg row_min = inf;
+      for (std::size_t j = jlo; j <= jhi; ++j) {
+        const Reg d = V::Sub(xi, V::Load(y + j * L));
+        const Reg c = V::Mul(d, d);
+        const Reg a =
+            V::Min(V::Load(prev + j * L - L), V::Load(prev + j * L));
+        left = V::Min(V::Add(c, left), V::AddUnlessInf(c, a));
+        V::Store(cur + j * L, left);
+        row_min = V::Min(left, row_min);
+      }
+      dead |= V::GtMask(row_min, thr);
+      std::swap(prev, cur);
+    }
+    double last[L];
+    V::Store(last, V::Load(prev + (m - 1) * L));
+    for (std::size_t l = 0; l < live; ++l) {
+      out_sq[base + l] = (dead >> l) & 1u ? kInf : last[l];
+    }
+  }
 }
+
+/// Two independent lane groups of V run as one: both dependency chains of
+/// the row recurrence are in flight at once, hiding the add -> min latency.
+template <class V>
+struct LanePair {
+  static constexpr std::size_t kLanes = 2 * V::kLanes;
+  struct Reg {
+    typename V::Reg lo, hi;
+  };
+  static Reg Load(const double* p) {
+    return {V::Load(p), V::Load(p + V::kLanes)};
+  }
+  static void Store(double* p, Reg r) {
+    V::Store(p, r.lo);
+    V::Store(p + V::kLanes, r.hi);
+  }
+  static Reg Set1(double v) { return {V::Set1(v), V::Set1(v)}; }
+  static Reg Add(Reg a, Reg b) { return {V::Add(a.lo, b.lo), V::Add(a.hi, b.hi)}; }
+  static Reg Sub(Reg a, Reg b) { return {V::Sub(a.lo, b.lo), V::Sub(a.hi, b.hi)}; }
+  static Reg Mul(Reg a, Reg b) { return {V::Mul(a.lo, b.lo), V::Mul(a.hi, b.hi)}; }
+  static Reg Min(Reg a, Reg b) { return {V::Min(a.lo, b.lo), V::Min(a.hi, b.hi)}; }
+  static Reg AddUnlessInf(Reg c, Reg a) {
+    return {V::AddUnlessInf(c.lo, a.lo), V::AddUnlessInf(c.hi, a.hi)};
+  }
+  static unsigned GtMask(Reg a, Reg b) {
+    return V::GtMask(a.lo, b.lo) | (V::GtMask(a.hi, b.hi) << V::kLanes);
+  }
+};
 
 /// The SIMD variants' int64 -> double magic constant, 2^52 + 2^51: adding it
 /// as an integer places |m| < 2^51 inside the double mantissa, so

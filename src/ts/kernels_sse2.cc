@@ -51,36 +51,28 @@ double SqDistToBoxSse2(const double* x, const double* lo, const double* hi,
   return detail::SqDistTail(x, lo, hi, j, n, HSumPair(acc_a, acc_b));
 }
 
-double LdtwRowUpdateSse2(double xi, const double* y, const double* prev,
-                         double* cur, std::size_t jlo, std::size_t jhi,
-                         double* cost_buf, double* t1_buf) {
-  const __m128d xiv = _mm_set1_pd(xi);
-  const __m128d infv = _mm_set1_pd(kInf);
-  const std::size_t len = jhi - jlo + 1;
-  const std::size_t len2 = len & ~std::size_t{1};
-  std::size_t idx = 0;
-  for (; idx < len2; idx += 2) {
-    std::size_t j = jlo + idx;
-    __m128d diff = _mm_sub_pd(xiv, _mm_loadu_pd(y + j));
-    __m128d c = _mm_mul_pd(diff, diff);
-    // min_pd(prev[j-1], prev[j]) == ScalarMin(prev[j], prev[j-1]).
-    __m128d a = _mm_min_pd(_mm_loadu_pd(prev + j - 1), _mm_loadu_pd(prev + j));
-    __m128d mask = _mm_cmpeq_pd(a, infv);
-    __m128d t1 = _mm_or_pd(_mm_and_pd(mask, infv),
-                           _mm_andnot_pd(mask, _mm_add_pd(c, a)));
-    _mm_storeu_pd(cost_buf + idx, c);
-    _mm_storeu_pd(t1_buf + idx, t1);
+// One candidate per lane; SSE2 has no blendv, so the inf guard is a
+// mask select.
+struct Sse2Lanes {
+  static constexpr std::size_t kLanes = 2;
+  using Reg = __m128d;
+  static Reg Load(const double* p) { return _mm_loadu_pd(p); }
+  static void Store(double* p, Reg r) { _mm_storeu_pd(p, r); }
+  static Reg Set1(double v) { return _mm_set1_pd(v); }
+  static Reg Add(Reg a, Reg b) { return _mm_add_pd(a, b); }
+  static Reg Sub(Reg a, Reg b) { return _mm_sub_pd(a, b); }
+  static Reg Mul(Reg a, Reg b) { return _mm_mul_pd(a, b); }
+  static Reg Min(Reg a, Reg b) { return _mm_min_pd(a, b); }
+  static Reg AddUnlessInf(Reg c, Reg a) {
+    const Reg inf = _mm_set1_pd(kInf);
+    const Reg mask = _mm_cmpeq_pd(a, inf);
+    return _mm_or_pd(_mm_and_pd(mask, inf),
+                     _mm_andnot_pd(mask, _mm_add_pd(c, a)));
   }
-  for (; idx < len; ++idx) {
-    std::size_t j = jlo + idx;
-    double diff = xi - y[j];
-    double c = diff * diff;
-    double a = detail::ScalarMin(prev[j], prev[j - 1]);
-    cost_buf[idx] = c;
-    t1_buf[idx] = a == kInf ? kInf : c + a;
+  static unsigned GtMask(Reg a, Reg b) {
+    return static_cast<unsigned>(_mm_movemask_pd(_mm_cmpgt_pd(a, b)));
   }
-  return detail::LdtwSerialPass(cost_buf, t1_buf, cur, jlo, jhi);
-}
+};
 
 void DeltaDecodeSse2(const std::int64_t* m, std::size_t n, double v0,
                      double scale, double* out) {
@@ -106,7 +98,7 @@ extern const KernelTable kSse2Table;
 const KernelTable kSse2Table = {
     SqDistToBoxSse2,
     SqDistToBoxSse2,
-    LdtwRowUpdateSse2,
+    detail::LdtwLanes<Sse2Lanes>,
     DeltaDecodeSse2,
     "sse2",
 };

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
+#include "ts/kernels.h"
 #include "util/status.h"
 
 namespace humdex {
@@ -57,9 +59,28 @@ Series ProjectOntoEnvelope(const Series& x, const Envelope& e) {
 double SquaredLbImprovedSecondPass(const Series& x, const Series& y,
                                    const Envelope& env_y, std::size_t k,
                                    double abandon_at_sq) {
-  Series h = ProjectOntoEnvelope(x, env_y);
-  Envelope env_h = BuildEnvelope(h, k);
-  return SquaredDistanceToEnvelope(y, env_h, abandon_at_sq);
+  const std::size_t n = x.size();
+  HUMDEX_CHECK(n == env_y.size() && y.size() == n);
+  // Per-thread scratch reused across calls: the projection H, its
+  // k-envelope and the sliding-window queue.
+  struct Scratch {
+    std::vector<double> h, lo, hi;
+    std::vector<std::size_t> window;
+  };
+  thread_local Scratch s;
+  if (s.h.size() < n) {
+    s.h.resize(n);
+    s.lo.resize(n);
+    s.hi.resize(n);
+    s.window.resize(n);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    s.h[i] = std::min(std::max(x[i], env_y.lower[i]), env_y.upper[i]);
+  }
+  BuildEnvelopeInto(s.h.data(), n, k, s.lo.data(), s.hi.data(),
+                    s.window.data());
+  return kernels::ActiveKernels().sq_dist_to_box(
+      y.data(), s.lo.data(), s.hi.data(), n, abandon_at_sq);
 }
 
 double SquaredLbImproved(const Series& x, const Series& y,

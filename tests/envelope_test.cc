@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "ts/envelope.h"
 #include "util/random.h"
@@ -8,7 +9,7 @@
 namespace humdex {
 namespace {
 
-// Reference O(nk) envelope for validating the O(n) deque implementation.
+// Reference O(nk) envelope for validating the O(n) sliding-window queue.
 Envelope NaiveEnvelope(const Series& x, std::size_t k) {
   const std::size_t n = x.size();
   Envelope e;
@@ -55,6 +56,18 @@ TEST(EnvelopeTest, MatchesNaiveOnRandomInputs) {
     Envelope naive = NaiveEnvelope(x, k);
     EXPECT_EQ(fast.lower, naive.lower) << "n=" << n << " k=" << k;
     EXPECT_EQ(fast.upper, naive.upper) << "n=" << n << " k=" << k;
+  }
+}
+
+// Equal values tie-break to the newest index in the window, so signed zeros
+// come out of the envelope with the sign of the latest equal element.
+TEST(EnvelopeTest, TiesResolveToTheNewestEqualValue) {
+  Series x = {0.0, -0.0, 0.0, -0.0};
+  Envelope e = BuildEnvelope(x, 1);
+  const bool want_neg[] = {true, false, true, true};
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    EXPECT_EQ(std::signbit(e.upper[i]), want_neg[i]) << "upper i=" << i;
+    EXPECT_EQ(std::signbit(e.lower[i]), want_neg[i]) << "lower i=" << i;
   }
 }
 

@@ -142,36 +142,136 @@ TEST_P(KernelVariantTest, SqDistToBoxAbandonMatchesScalarAndStaysLowerBound) {
   }
 }
 
-TEST_P(KernelVariantTest, LdtwRowUpdateMatchesScalarBitForBit) {
-  const kernels::KernelTable& scalar = kernels::ScalarKernels();
+// Definitional banded DP over the full matrix: D(i, j) = cost + min of the
+// three predecessors, cells outside |i - j| <= k infinite. Rounding is
+// monotone, so cost + min(...) equals the kernels' min over per-predecessor
+// sums bit for bit on finite inputs.
+double NaiveSquaredLdtw(const Series& x, const Series& y, std::size_t k) {
+  const std::size_t n = x.size(), m = y.size();
+  std::vector<double> d(n * m, kInf);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < m; ++j) {
+      if ((i > j ? i - j : j - i) > k) continue;
+      double best = i == 0 && j == 0 ? 0.0 : kInf;
+      if (i > 0) best = std::min(best, d[(i - 1) * m + j]);
+      if (j > 0) best = std::min(best, d[i * m + j - 1]);
+      if (i > 0 && j > 0) best = std::min(best, d[(i - 1) * m + j - 1]);
+      const double diff = x[i] - y[j];
+      d[i * m + j] = diff * diff + best;
+    }
+  }
+  return d[n * m - 1];
+}
+
+// Runs `table`'s lane kernel on every candidate at once, and the scalar
+// reference one candidate at a time, and checks every output bit for bit.
+void ExpectLanesMatchScalar(const kernels::KernelTable& table, const Series& x,
+                            const std::vector<Series>& ys, std::size_t k,
+                            double threshold_sq, const std::string& label) {
+  const std::size_t m = ys.front().size();
+  std::vector<const double*> rows;
+  for (const Series& y : ys) rows.push_back(y.data());
+  std::vector<double> scratch(kernels::LdtwScratchDoubles(m));
+  std::vector<double> got(ys.size());
+  table.ldtw_lanes(x.data(), x.size(), rows.data(), m, ys.size(), k,
+                   threshold_sq, scratch.data(), got.data());
+  for (std::size_t c = 0; c < ys.size(); ++c) {
+    double ref = 0.0;
+    kernels::ScalarKernels().ldtw_lanes(x.data(), x.size(), &rows[c], m, 1, k,
+                                        threshold_sq, scratch.data(), &ref);
+    EXPECT_TRUE(BitEqual(ref, got[c]))
+        << label << " candidate " << c << " of " << ys.size();
+    EXPECT_TRUE(BitEqual(ref, SquaredLdtwDistanceEarlyAbandon(x, ys[c], k,
+                                                              threshold_sq)))
+        << label << " candidate " << c;
+  }
+}
+
+TEST_P(KernelVariantTest, LdtwLanesMatchScalarOnRaggedBatchesAndBands) {
   Rng rng(45);
-  for (int trial = 0; trial < 400; ++trial) {
-    const std::size_t m = 1 + rng.NextBounded(160);
-    const std::size_t jlo = rng.NextBounded(static_cast<std::uint32_t>(m));
-    const std::size_t jhi = jlo + rng.NextBounded(static_cast<std::uint32_t>(m - jlo));
-    Series y = RandomSeries(&rng, m);
-    const double xi = rng.Uniform(-4.0, 4.0);
-    // DP rows with the one-slot front pad the contract requires; some prev
-    // cells are infinity (outside the previous row's band).
-    std::vector<double> prev_buf(m + 1, kInf), cur_ref(m + 1, kInf),
-        cur_got(m + 1, kInf);
-    for (std::size_t j = 0; j <= m; ++j) {
-      if (!rng.Bernoulli(0.2)) prev_buf[j] = rng.Uniform(0.0, 50.0);
+  for (int trial = 0; trial < 120; ++trial) {
+    const std::size_t n = 1 + rng.NextBounded(70);
+    // Every ragged tail of the 2-, 4- and 8-lane groups.
+    const std::size_t count = 1 + rng.NextBounded(17);
+    Series x = RandomSeries(&rng, n);
+    std::vector<Series> ys;
+    for (std::size_t c = 0; c < count; ++c) ys.push_back(RandomSeries(&rng, n));
+    for (std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{3},
+                          n - 1, n, n + 4}) {
+      const std::string label = "trial=" + std::to_string(trial) +
+                                " n=" + std::to_string(n) +
+                                " k=" + std::to_string(k);
+      ExpectLanesMatchScalar(*table_, x, ys, k, kInf, label);
     }
-    prev_buf[0] = kInf;  // the pad itself is always infinity
-    const std::size_t width = jhi - jlo + 1;
-    std::vector<double> cost_a(width), t1_a(width), cost_b(width), t1_b(width);
-    double ref = scalar.ldtw_row_update(xi, y.data(), prev_buf.data() + 1,
-                                        cur_ref.data() + 1, jlo, jhi,
-                                        cost_a.data(), t1_a.data());
-    double got = table_->ldtw_row_update(xi, y.data(), prev_buf.data() + 1,
-                                         cur_got.data() + 1, jlo, jhi,
-                                         cost_b.data(), t1_b.data());
-    EXPECT_TRUE(BitEqual(ref, got)) << "trial=" << trial;
-    for (std::size_t j = jlo; j <= jhi; ++j) {
-      EXPECT_TRUE(BitEqual(cur_ref[j + 1], cur_got[j + 1]))
-          << "trial=" << trial << " j=" << j;
+  }
+}
+
+TEST_P(KernelVariantTest, LdtwLanesAbandonPerLaneAtDifferentRows) {
+  Rng rng(46);
+  const std::size_t n = 96, k = 5;
+  int mixed_batches = 0;  // some lanes abandoned, others finished
+  for (int trial = 0; trial < 40; ++trial) {
+    Series x = RandomSeries(&rng, n);
+    // Candidate c follows the query up to row 6c, then jumps away, so each
+    // lane's row minimum crosses a threshold at a different row.
+    const std::size_t count = 1 + rng.NextBounded(12);
+    std::vector<Series> ys;
+    std::vector<double> exact;
+    for (std::size_t c = 0; c < count; ++c) {
+      Series y = x;
+      for (std::size_t j = 6 * c; j < n; ++j) y[j] += 3.0 + rng.Uniform(0.0, 1.0);
+      exact.push_back(SquaredLdtwDistance(x, y, k));
+      ys.push_back(std::move(y));
     }
+    const std::string label = "trial=" + std::to_string(trial);
+    // Thresholds between the candidates' distances abandon some lanes and
+    // keep others; a threshold exactly equal to one lane's distance must
+    // keep that lane, with its exact distance.
+    const double pick = exact[rng.NextBounded(static_cast<std::uint32_t>(count))];
+    for (double thr : {0.0, pick * 0.5, pick, 4.0, 40.0, kInf}) {
+      ExpectLanesMatchScalar(*table_, x, ys, k, thr, label);
+    }
+    std::vector<const double*> rows;
+    for (const Series& y : ys) rows.push_back(y.data());
+    std::vector<double> scratch(kernels::LdtwScratchDoubles(n));
+    std::vector<double> got(count);
+    table_->ldtw_lanes(x.data(), n, rows.data(), n, count, k, pick,
+                       scratch.data(), got.data());
+    // A lane within the threshold is never abandoned; a lane past it may
+    // finish (its last row dipped under the threshold) but then reports the
+    // exact distance.
+    std::size_t abandoned = 0;
+    for (std::size_t c = 0; c < count; ++c) {
+      if (exact[c] <= pick || !std::isinf(got[c])) {
+        EXPECT_TRUE(BitEqual(exact[c], got[c])) << label << " c=" << c;
+      }
+      if (std::isinf(got[c])) ++abandoned;
+    }
+    if (abandoned > 0 && abandoned < count) ++mixed_batches;
+  }
+  EXPECT_GT(mixed_batches, 10);
+}
+
+TEST_P(KernelVariantTest, LdtwLanesMatchScalarOnSpecialValuesAndLengths) {
+  Rng rng(47);
+  for (int trial = 0; trial < 150; ++trial) {
+    const std::size_t n = 1 + rng.NextBounded(40);
+    const std::size_t m = 1 + rng.NextBounded(40);
+    const std::size_t k = rng.NextBounded(12);
+    Series x = RandomSeries(&rng, n);
+    AddSpecials(&rng, &x);
+    if (rng.Bernoulli(0.1)) x[0] = std::numeric_limits<double>::quiet_NaN();
+    std::vector<Series> ys;
+    const std::size_t count = 1 + rng.NextBounded(9);
+    for (std::size_t c = 0; c < count; ++c) {
+      ys.push_back(RandomSeries(&rng, m));
+      AddSpecials(&rng, &ys.back());
+    }
+    // |n - m| > k yields infinity for every candidate; otherwise specials
+    // propagate through the DP identically in every lane.
+    const std::string label = "trial=" + std::to_string(trial);
+    ExpectLanesMatchScalar(*table_, x, ys, k, kInf, label);
+    ExpectLanesMatchScalar(*table_, x, ys, k, 10.0, label);
   }
 }
 
@@ -221,6 +321,36 @@ TEST(KernelDispatchTest, ActiveTableMatchesScalarThroughPublicApis) {
   }
 }
 
+// The scalar reference itself — batched or one candidate at a time — equals
+// the definitional full-matrix DP bit for bit, in every build (including
+// HUMDEX_SIMD=OFF, where the tier-parameterized tests skip).
+TEST(KernelDispatchTest, ScalarLdtwMatchesDefinitionBitForBit) {
+  Rng rng(57);
+  const kernels::KernelTable& scalar = kernels::ScalarKernels();
+  for (int trial = 0; trial < 100; ++trial) {
+    const std::size_t n = 1 + rng.NextBounded(60);
+    const std::size_t m = n + rng.NextBounded(4);
+    const std::size_t count = 1 + rng.NextBounded(5);
+    Series x = RandomSeries(&rng, n);
+    std::vector<Series> ys;
+    std::vector<const double*> rows;
+    for (std::size_t c = 0; c < count; ++c) {
+      ys.push_back(RandomSeries(&rng, m));
+      rows.push_back(ys.back().data());
+    }
+    std::vector<double> scratch(kernels::LdtwScratchDoubles(m)), got(count);
+    for (std::size_t k : {std::size_t{0}, std::size_t{2}, n, n + 3}) {
+      scalar.ldtw_lanes(x.data(), n, rows.data(), m, count, k, kInf,
+                        scratch.data(), got.data());
+      for (std::size_t c = 0; c < count; ++c) {
+        const double want = NaiveSquaredLdtw(x, ys[c], k);
+        EXPECT_TRUE(BitEqual(want, got[c])) << "trial=" << trial << " k=" << k;
+        EXPECT_TRUE(BitEqual(want, SquaredLdtwDistance(x, ys[c], k)));
+      }
+    }
+  }
+}
+
 TEST(KernelDispatchTest, ForceScalarEnvVariableIsRespectedInTableFor) {
   // ActiveSimdLevel() caches the env lookup, so this only checks the level
   // enumeration helpers stay consistent; the end-to-end env-var behavior is
@@ -263,6 +393,29 @@ TEST(LbImprovedTest, SecondPassDecompositionMatchesReference) {
     double whole = SquaredLbImproved(x, y, env_y, k, kInf);
     EXPECT_TRUE(BitEqual(part1 + part2, whole)) << "trial=" << trial;
     EXPECT_NEAR(std::sqrt(whole), LbImproved(x, y, k), 1e-12);
+  }
+}
+
+// The allocation-free second pass equals its definition — project, build
+// the projection's envelope, measure y against it — bit for bit, including
+// series of signed zeros where the envelope's tie rule picks the sign.
+TEST(LbImprovedTest, SecondPassMatchesDefinitionBitForBit) {
+  Rng rng(56);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = 1 + rng.NextBounded(150);
+    const std::size_t k = rng.NextBounded(10);
+    Series x = RandomSeries(&rng, n), y = RandomSeries(&rng, n);
+    if (trial % 4 == 0) {
+      for (double& v : x) v = rng.Bernoulli(0.5) ? 0.0 : -0.0;
+      for (double& v : y) v = rng.Bernoulli(0.5) ? 0.0 : -0.0;
+    }
+    Envelope env_y = BuildEnvelope(y, k);
+    Envelope env_h = BuildEnvelope(ProjectOntoEnvelope(x, env_y), k);
+    for (double abandon : {kInf, 1.0}) {
+      EXPECT_TRUE(BitEqual(SquaredDistanceToEnvelope(y, env_h, abandon),
+                           SquaredLbImprovedSecondPass(x, y, env_y, k, abandon)))
+          << "trial=" << trial << " n=" << n << " k=" << k;
+    }
   }
 }
 

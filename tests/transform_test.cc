@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <memory>
+#include <string_view>
 
 #include "transform/dft.h"
 #include "transform/dwt.h"
@@ -76,11 +77,6 @@ TEST(PaaTest, IdentityWhenOutputEqualsInput) {
 
 // ---------- lower-bounding of every transform for Euclidean distance ----
 
-struct TransformFactory {
-  const char* name;
-  std::unique_ptr<LinearTransform> (*make)(Rng* rng);
-};
-
 std::unique_ptr<LinearTransform> MakePaa(Rng*) {
   return std::make_unique<PaaTransform>(64, 8);
 }
@@ -93,6 +89,20 @@ std::unique_ptr<LinearTransform> MakeDwt(Rng*) {
 std::unique_ptr<LinearTransform> MakeSvd(Rng* rng) {
   return std::make_unique<SvdTransform>(RandomCorpus(rng, 50, 64), 8);
 }
+
+// Holds plain bytes only: gtest prints the parameter's bytes into every listed
+// test name, so a pointer member would rename the tests on each run.
+struct TransformFactory {
+  char name[16];
+
+  std::unique_ptr<LinearTransform> make(Rng* rng) const {
+    const std::string_view n = name;
+    if (n == "paa") return MakePaa(rng);
+    if (n == "dft") return MakeDft(rng);
+    if (n == "dwt") return MakeDwt(rng);
+    return MakeSvd(rng);
+  }
+};
 
 class AllTransformsTest : public ::testing::TestWithParam<TransformFactory> {};
 
@@ -155,10 +165,8 @@ TEST_P(AllTransformsTest, EnvelopeOfDegenerateEnvelopeIsFeatureVector) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Transforms, AllTransformsTest,
-                         ::testing::Values(TransformFactory{"paa", MakePaa},
-                                           TransformFactory{"dft", MakeDft},
-                                           TransformFactory{"dwt", MakeDwt},
-                                           TransformFactory{"svd", MakeSvd}),
+                         ::testing::Values(TransformFactory{"paa"}, TransformFactory{"dft"},
+                                           TransformFactory{"dwt"}, TransformFactory{"svd"}),
                          [](const ::testing::TestParamInfo<TransformFactory>& info) {
                            return info.param.name;
                          });
