@@ -108,8 +108,7 @@ int Run(int argc, char** argv) {
 
   const std::string v3_image = SerializeQbhDatabase(fresh);
   const std::string v2_text =
-      SerializeQbhCorpus(fresh.options(), fresh.CorpusSnapshot(),
-                         fresh.References());
+      SerializeQbhCorpus(fresh.options(), fresh.CorpusSnapshot());
   if (!LooksLikeV3(v3_image) || v2_text.rfind("humdex-db v2\n", 0) != 0) {
     std::fprintf(stderr, "serializer produced unexpected formats\n");
     return 1;

@@ -6,18 +6,10 @@
 //
 // Paper's shape: LB > New_PAA > Keogh_PAA on every dataset, with New_PAA
 // roughly 2x Keogh_PAA on average.
-//
-// The LB_Tri column is ours (DESIGN.md §11): the O(P) reference-point bound
-// max_r [ d(x, Env(r)) - h(Env(r), Env(y)) ] over P=4 farthest-first
-// references. It must sit at or below the raw envelope bound on every pair
-// (it relaxes it through a reference), and the column shows how much
-// tightness an O(P) probe retains versus the O(n) bounds it fronts.
-#include <algorithm>
 #include <cstdio>
 
 #include "common.h"
 #include "datasets.h"
-#include "gemini/fastmap.h"
 #include "transform/feature_scheme.h"
 #include "ts/dtw.h"
 #include "ts/lower_bound.h"
@@ -39,15 +31,13 @@ int Run() {
   auto keogh_paa = MakeKeoghPaaScheme(kLen, kDim);
   auto datasets = Figure6Datasets(kPerSet, kLen, /*seed=*/1234);
 
-  const std::size_t kRefs = 4;
-
   Table table(
-      {"#", "Dataset", "LB", "LB_Tri", "New_PAA", "Keogh_PAA", "New/Keogh"});
+      {"#", "Dataset", "LB", "New_PAA", "Keogh_PAA", "New/Keogh"});
   double grand_new = 0.0, grand_keogh = 0.0;
   int violations = 0;
   int idx = 0;
   for (const NamedDataset& ds : datasets) {
-    double sum_lb = 0.0, sum_tri = 0.0, sum_new = 0.0, sum_keogh = 0.0;
+    double sum_lb = 0.0, sum_new = 0.0, sum_keogh = 0.0;
     std::size_t pairs = 0;
     // Precompute envelopes and features once per series.
     std::vector<Envelope> envs;
@@ -60,55 +50,31 @@ int Run() {
       keogh_envs.push_back(keogh_paa->ReduceEnvelope(e));
       envs.push_back(std::move(e));
     }
-    // Reference set and the two precomputable LB_Tri ingredients:
-    // d(x_i, Env(r)) per series and h(Env(r), Env(y_j)) per candidate.
-    std::vector<std::size_t> ref_idx = ChooseReferenceIndices(
-        ds.series.size(), [&](std::size_t i) -> const Series& {
-          return ds.series[i];
-        },
-        kRefs, kBand);
-    std::vector<std::vector<double>> ref_dist(ref_idx.size());
-    std::vector<std::vector<double>> ref_gap(ref_idx.size());
-    for (std::size_t r = 0; r < ref_idx.size(); ++r) {
-      const Envelope& env_r = envs[ref_idx[r]];
-      ref_dist[r].resize(ds.series.size());
-      ref_gap[r].resize(ds.series.size());
-      for (std::size_t i = 0; i < ds.series.size(); ++i) {
-        ref_dist[r][i] = DistanceToEnvelope(ds.series[i], env_r);
-        ref_gap[r][i] = EnvelopeGap(env_r, envs[i]);
-      }
-    }
     for (std::size_t i = 0; i < ds.series.size(); ++i) {
       for (std::size_t j = 0; j < ds.series.size(); ++j) {
         if (i == j) continue;
         double dtw = LdtwDistance(ds.series[i], ds.series[j], kBand);
         if (dtw <= 0.0) continue;
         double lb_raw = LbKeogh(ds.series[i], envs[j]);
-        double lb_tri = 0.0;
-        for (std::size_t r = 0; r < ref_idx.size(); ++r) {
-          lb_tri = std::max(lb_tri, ref_dist[r][i] - ref_gap[r][j]);
-        }
         double lb_new = DistanceToEnvelope(feats[i], new_envs[j]);
         double lb_keogh = DistanceToEnvelope(feats[i], keogh_envs[j]);
         if (lb_new > dtw + 1e-9 || lb_keogh > lb_new + 1e-9 ||
-            lb_raw > dtw + 1e-9 || lb_tri > lb_raw + 1e-9) {
+            lb_raw > dtw + 1e-9) {
           ++violations;
         }
         sum_lb += lb_raw / dtw;
-        sum_tri += lb_tri / dtw;
         sum_new += lb_new / dtw;
         sum_keogh += lb_keogh / dtw;
         ++pairs;
       }
     }
     double t_lb = sum_lb / static_cast<double>(pairs);
-    double t_tri = sum_tri / static_cast<double>(pairs);
     double t_new = sum_new / static_cast<double>(pairs);
     double t_keogh = sum_keogh / static_cast<double>(pairs);
     grand_new += t_new;
     grand_keogh += t_keogh;
     table.AddRow({Table::Int(static_cast<std::size_t>(++idx)), ds.name,
-                  Table::Num(t_lb), Table::Num(t_tri), Table::Num(t_new),
+                  Table::Num(t_lb), Table::Num(t_new),
                   Table::Num(t_keogh),
                   t_keogh > 0 ? Table::Num(t_new / t_keogh, 2) : "inf"});
   }
@@ -119,8 +85,8 @@ int Run() {
               mean_ratio);
   std::printf("Lower-bound ordering violations (must be 0): %d\n", violations);
   bool shape_holds = violations == 0 && mean_ratio > 1.2;
-  std::printf("Shape check (LB >= New_PAA >= Keogh_PAA and LB >= LB_Tri "
-              "everywhere, New substantially tighter): %s\n",
+  std::printf("Shape check (LB >= New_PAA >= Keogh_PAA everywhere, New "
+              "substantially tighter): %s\n",
               shape_holds ? "HOLDS" : "VIOLATED");
   return shape_holds ? 0 : 1;
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus the concurrency and robustness gates:
 #   1. plain RelWithDebInfo build, full ctest suite, plus the exactness-gated
-#      ablations (reference-point pruning; mapped v3 checkpoint open);
+#      ablations (cascade stages and kernels; mapped v3 checkpoint open);
 #   2. ThreadSanitizer build (-DHUMDEX_SANITIZE=thread), running the
 #      parallel-read-path tests (thread pool, batch queries, buffer pool
 #      stress) and the TCP server's start/serve/stop tests (accept thread
@@ -35,9 +35,11 @@ echo "== [1/5] plain build + full test suite =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
-# Reference-point pruning gate: exits non-zero on any answer mismatch or if
-# the triangle/tau stages stop strictly reducing exact-DTW calls.
-./build/bench/ablation_triangle
+# Cascade gate: exits non-zero if any answer differs from brute force or
+# between SIMD tiers, if the Keogh stage stops paying for its wall time, or
+# (on AVX2 hosts) if the Keogh filter or the lane LDTW kernel misses 2x
+# against scalar.
+./build/bench/ablation_cascade
 # Mapped-checkpoint gate: exits non-zero unless the v3 binary open is >=10x
 # faster than the v2 text rebuild at 100k melodies, the melody payload is
 # >=2x smaller on disk, and range/kNN answers served from the mapped corpus
@@ -61,7 +63,7 @@ cmake -B build-asan -S . -DHUMDEX_SANITIZE=address+undefined >/dev/null
 cmake --build build-asan -j "$JOBS" --target \
   env_test corruption_test deadline_test storage_test fuzz_test melody_io_test \
   wav_io_test wal_test online_update_test kernel_test cascade_test \
-  property_test metamorphic_test
+  property_test metamorphic_test legacy_checkpoint_test
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
   -R 'PosixEnv|FaultInjectingEnv|Retry|Corruption|CrashSafety|Salvage|Deadline|Cancel|Shedding|Observability|Storage|Fuzz|MelodyIo|WavIo|WalTest|OnlineUpdate|Recovery|Kernel|Cascade|LbImproved|TriangleBound|Metamorphic'
 # Same kernel/cascade/triangle tests with the dispatcher demoted to the

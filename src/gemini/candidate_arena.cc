@@ -33,11 +33,8 @@ void CandidateArena::FreeAll() {
     std::free(series_);
     std::free(env_lo_);
     std::free(env_hi_);
-    std::free(pivots_);
-    std::free(meta_);
   }
-  series_ = env_lo_ = env_hi_ = pivots_ = nullptr;
-  meta_ = nullptr;
+  series_ = env_lo_ = env_hi_ = nullptr;
   borrowed_ = false;
   borrow_owner_.reset();
 }
@@ -48,21 +45,15 @@ CandidateArena::CandidateArena(CandidateArena&& other) noexcept
     : series_len_(other.series_len_),
       band_k_(other.band_k_),
       stride_(other.stride_),
-      pivot_dims_(other.pivot_dims_),
-      pivot_stride_(other.pivot_stride_),
       size_(other.size_),
       capacity_(other.capacity_),
       series_(other.series_),
       env_lo_(other.env_lo_),
       env_hi_(other.env_hi_),
-      pivots_(other.pivots_),
-      meta_(other.meta_),
       borrowed_(other.borrowed_),
       borrow_owner_(std::move(other.borrow_owner_)) {
   other.size_ = other.capacity_ = 0;
-  other.pivot_dims_ = other.pivot_stride_ = 0;
-  other.series_ = other.env_lo_ = other.env_hi_ = other.pivots_ = nullptr;
-  other.meta_ = nullptr;
+  other.series_ = other.env_lo_ = other.env_hi_ = nullptr;
   other.borrowed_ = false;
 }
 
@@ -72,36 +63,17 @@ CandidateArena& CandidateArena::operator=(CandidateArena&& other) noexcept {
   series_len_ = other.series_len_;
   band_k_ = other.band_k_;
   stride_ = other.stride_;
-  pivot_dims_ = other.pivot_dims_;
-  pivot_stride_ = other.pivot_stride_;
   size_ = other.size_;
   capacity_ = other.capacity_;
   series_ = other.series_;
   env_lo_ = other.env_lo_;
   env_hi_ = other.env_hi_;
-  pivots_ = other.pivots_;
-  meta_ = other.meta_;
   borrowed_ = other.borrowed_;
   borrow_owner_ = std::move(other.borrow_owner_);
   other.size_ = other.capacity_ = 0;
-  other.pivot_dims_ = other.pivot_stride_ = 0;
-  other.series_ = other.env_lo_ = other.env_hi_ = other.pivots_ = nullptr;
-  other.meta_ = nullptr;
+  other.series_ = other.env_lo_ = other.env_hi_ = nullptr;
   other.borrowed_ = false;
   return *this;
-}
-
-void CandidateArena::ConfigurePivots(std::size_t dims) {
-  EnsureOwned();
-  std::free(pivots_);
-  pivots_ = nullptr;
-  pivot_dims_ = dims;
-  pivot_stride_ =
-      dims == 0 ? 0 : (3 * dims + 3) & ~static_cast<std::size_t>(3);
-  if (dims != 0 && capacity_ > 0) {
-    pivots_ = AllocRows(capacity_, pivot_stride_);
-    std::memset(pivots_, 0, capacity_ * pivot_stride_ * sizeof(double));
-  }
 }
 
 void CandidateArena::Grow(std::size_t min_items) {
@@ -116,21 +88,6 @@ void CandidateArena::Grow(std::size_t min_items) {
   regrow(series_);
   regrow(env_lo_);
   regrow(env_hi_);
-  if (pivot_dims_ > 0) {
-    double* fresh = AllocRows(cap, pivot_stride_);
-    std::memset(fresh, 0, cap * pivot_stride_ * sizeof(double));
-    if (size_ > 0 && pivots_ != nullptr) {
-      std::memcpy(fresh, pivots_, size_ * pivot_stride_ * sizeof(double));
-    }
-    std::free(pivots_);
-    pivots_ = fresh;
-  }
-  Meta* fresh_meta =
-      static_cast<Meta*>(std::aligned_alloc(kernels::kAlignment, cap * sizeof(Meta)));
-  HUMDEX_CHECK(fresh_meta != nullptr);
-  if (size_ > 0) std::memcpy(fresh_meta, meta_, size_ * sizeof(Meta));
-  std::free(meta_);
-  meta_ = fresh_meta;
   capacity_ = cap;
 }
 
@@ -158,12 +115,6 @@ void CandidateArena::Append(const Series& s) {
     lrow[j] = 0.0;
     hrow[j] = 0.0;
   }
-  meta_[size_] = Meta{s.front(), s.back(), SeriesMin(s), SeriesMax(s)};
-  if (pivot_dims_ > 0) {
-    // Zeroed placeholder; the engine overwrites it right after Append.
-    std::memset(pivots_ + size_ * pivot_stride_, 0,
-                pivot_stride_ * sizeof(double));
-  }
   ++size_;
 }
 
@@ -178,38 +129,22 @@ void CandidateArena::SwapRemove(std::size_t pos) {
                 stride_ * sizeof(double));
     std::memcpy(env_hi_ + pos * stride_, env_hi_ + last * stride_,
                 stride_ * sizeof(double));
-    if (pivot_dims_ > 0) {
-      std::memcpy(pivots_ + pos * pivot_stride_, pivots_ + last * pivot_stride_,
-                  pivot_stride_ * sizeof(double));
-    }
-    meta_[pos] = meta_[last];
   }
   --size_;
 }
 
 void CandidateArena::AttachPrebuilt(std::size_t n, const double* series,
                                     const double* env_lo, const double* env_hi,
-                                    const Meta* meta, const double* pivot_rows,
-                                    std::size_t dims,
                                     std::shared_ptr<const void> owner) {
   HUMDEX_CHECK(size_ == 0 && capacity_ == 0 && !borrowed_);
-  HUMDEX_CHECK(dims == 0 || pivot_rows != nullptr);
-  if (n == 0) {
-    // Nothing to borrow; an empty arena stays an ordinary owned arena.
-    ConfigurePivots(dims);
-    return;
-  }
-  pivot_dims_ = dims;
-  pivot_stride_ =
-      dims == 0 ? 0 : (3 * dims + 3) & ~static_cast<std::size_t>(3);
+  // Nothing to borrow for n == 0; an empty arena stays an ordinary owned one.
+  if (n == 0) return;
   size_ = capacity_ = n;
   // Readers only ever load through these pointers while borrowed_; the
   // const_cast is confined to storage, never to a store instruction.
   series_ = const_cast<double*>(series);
   env_lo_ = const_cast<double*>(env_lo);
   env_hi_ = const_cast<double*>(env_hi);
-  pivots_ = const_cast<double*>(pivot_rows);
-  meta_ = const_cast<Meta*>(meta);
   borrowed_ = true;
   borrow_owner_ = std::move(owner);
 }
@@ -217,20 +152,14 @@ void CandidateArena::AttachPrebuilt(std::size_t n, const double* series,
 void CandidateArena::EnsureOwned() {
   if (!borrowed_) return;
   const std::size_t n = size_;
-  auto copy_rows = [&](double*& arr, std::size_t stride) {
-    double* fresh = AllocRows(n, stride);
-    std::memcpy(fresh, arr, n * stride * sizeof(double));
+  auto copy_rows = [&](double*& arr) {
+    double* fresh = AllocRows(n, stride_);
+    std::memcpy(fresh, arr, n * stride_ * sizeof(double));
     arr = fresh;
   };
-  copy_rows(series_, stride_);
-  copy_rows(env_lo_, stride_);
-  copy_rows(env_hi_, stride_);
-  if (pivot_dims_ > 0) copy_rows(pivots_, pivot_stride_);
-  Meta* fresh_meta = static_cast<Meta*>(
-      std::aligned_alloc(kernels::kAlignment, n * sizeof(Meta)));
-  HUMDEX_CHECK(fresh_meta != nullptr);
-  std::memcpy(fresh_meta, meta_, n * sizeof(Meta));
-  meta_ = fresh_meta;
+  copy_rows(series_);
+  copy_rows(env_lo_);
+  copy_rows(env_hi_);
   capacity_ = n;
   borrowed_ = false;
   borrow_owner_.reset();

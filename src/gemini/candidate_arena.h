@@ -6,20 +6,11 @@
 //   - the normal-form series,
 //   - its precomputed k-envelope (lower and upper), used by the symmetric
 //     Keogh bound without any per-candidate envelope build,
-//   - a 4-double meta row {first, last, min, max} for the O(1) Kim stage,
-//   - an optional pivot row of 3 * P doubles for the LB_Triangle stages
-//     (DESIGN.md §11): per reference series r, the Euclidean distance
-//     ed[r] = ED(item, r) (a metric upper-bound ingredient for kNN threshold
-//     seeding), the envelope distance box[r] = d(item, Env(r)) (corpus-side
-//     triangle refinement), and the envelope gap gap[r] = h(Env(r),
-//     Env(item)) (query-side triangle bound),
 //
 // into flat 32-byte-aligned arrays (row stride padded to a multiple of
 // 4 doubles), so the filter streams memory in index order instead of
 // pointer-chasing. Rows mirror DtwQueryEngine::data_ positions exactly:
-// Append on Add, SwapRemove on Remove. Pivot rows are engine-written (the
-// arena does not know the references): ConfigurePivots sizes the storage and
-// the engine fills pivot_row() after every Append / ConfigurePivots.
+// Append on Add, SwapRemove on Remove.
 #pragma once
 
 #include <cstddef>
@@ -33,14 +24,6 @@ namespace humdex {
 
 class CandidateArena {
  public:
-  /// Per-item scalars for the Kim O(1) prefilter.
-  struct Meta {
-    double first;
-    double last;
-    double min;
-    double max;
-  };
-
   /// `series_len` is the normal-form length; `band_k` the envelope radius
   /// (the engine's band radius, fixed for its lifetime).
   CandidateArena(std::size_t series_len, std::size_t band_k);
@@ -55,17 +38,9 @@ class CandidateArena {
   /// Padded row length in doubles (multiple of 4; rows are 32-byte aligned).
   std::size_t stride() const { return stride_; }
 
-  /// Number of reference (pivot) columns per item; 0 until ConfigurePivots.
-  std::size_t pivot_dims() const { return pivot_dims_; }
-
-  /// (Re)size the per-item pivot rows to `dims` references. Existing rows are
-  /// zeroed — the caller owns recomputing every live row afterwards. dims == 0
-  /// drops the storage.
-  void ConfigurePivots(std::size_t dims);
-
   void Reserve(std::size_t items);
 
-  /// Append one item (computes its envelope and meta). The new row index is
+  /// Append one item (computes its envelope). The new row index is
   /// size() - 1 afterwards.
   void Append(const Series& s);
 
@@ -77,16 +52,13 @@ class CandidateArena {
   /// Every array is borrowed from `owner` — typically a checkpoint file
   /// mapping plus the series decode buffer — and must already use this
   /// arena's layout: series/env rows of stride() doubles with a zeroed pad
-  /// tail, `n` Meta entries, and (when `dims` > 0) pivot rows of
-  /// 3 * dims rounded up to 4 doubles. The arena is purely a reader of the
-  /// borrowed memory: the first mutation (Append, SwapRemove, Reserve,
-  /// ConfigurePivots) materializes private owned copies, so a mapping-backed
-  /// arena never writes through — or frees — the borrowed pointers.
-  /// Valid only on an empty arena; `pivot_rows` may be null iff dims == 0.
+  /// tail. The arena is purely a reader of the borrowed memory: the first
+  /// mutation (Append, SwapRemove, Reserve) materializes private owned
+  /// copies, so a mapping-backed arena never writes through — or frees — the
+  /// borrowed pointers. Valid only on an empty arena.
   void AttachPrebuilt(std::size_t n, const double* series,
                       const double* env_lo, const double* env_hi,
-                      const Meta* meta, const double* pivot_rows,
-                      std::size_t dims, std::shared_ptr<const void> owner);
+                      std::shared_ptr<const void> owner);
 
   /// True while the arrays are still borrowed from an AttachPrebuilt owner.
   bool borrowed() const { return borrowed_; }
@@ -100,25 +72,6 @@ class CandidateArena {
   const double* env_hi(std::size_t pos) const {
     return env_hi_ + pos * stride_;
   }
-  const Meta& meta(std::size_t pos) const { return meta_[pos]; }
-
-  /// Mutable pivot row for the engine to fill after Append/ConfigurePivots.
-  /// Layout: [ed_0..ed_{P-1} | box_0..box_{P-1} | gap_0..gap_{P-1} | pad].
-  /// Only valid when pivot_dims() > 0. A write is a mutation, so borrowed
-  /// storage is materialized first.
-  double* pivot_row(std::size_t pos) {
-    EnsureOwned();
-    return pivots_ + pos * pivot_stride_;
-  }
-  const double* pivot_ed(std::size_t pos) const {
-    return pivots_ + pos * pivot_stride_;
-  }
-  const double* pivot_box(std::size_t pos) const {
-    return pivots_ + pos * pivot_stride_ + pivot_dims_;
-  }
-  const double* pivot_gap(std::size_t pos) const {
-    return pivots_ + pos * pivot_stride_ + 2 * pivot_dims_;
-  }
 
  private:
   void Grow(std::size_t min_items);
@@ -130,8 +83,6 @@ class CandidateArena {
   std::size_t series_len_;
   std::size_t band_k_;
   std::size_t stride_;
-  std::size_t pivot_dims_ = 0;
-  std::size_t pivot_stride_ = 0;  // 3 * pivot_dims_ rounded up to 4 doubles
   std::size_t size_ = 0;
   std::size_t capacity_ = 0;
   // While borrowed_, these point into borrow_owner_'s memory (const in
@@ -139,8 +90,6 @@ class CandidateArena {
   double* series_ = nullptr;
   double* env_lo_ = nullptr;
   double* env_hi_ = nullptr;
-  double* pivots_ = nullptr;
-  Meta* meta_ = nullptr;
   bool borrowed_ = false;
   std::shared_ptr<const void> borrow_owner_;
 };

@@ -10,46 +10,6 @@
 
 namespace humdex {
 
-std::vector<std::size_t> ChooseReferenceIndices(
-    std::size_t corpus_size,
-    const std::function<const Series&(std::size_t)>& at, std::size_t count,
-    std::size_t band_k) {
-  std::vector<std::size_t> chosen;
-  if (corpus_size == 0 || count == 0) return chosen;
-
-  // Evenly spaced candidate sample, capped so build cost stays
-  // O(kSampleCap * count) LDTW calls regardless of corpus size.
-  constexpr std::size_t kSampleCap = 256;
-  std::size_t samples = std::min(corpus_size, kSampleCap);
-  std::vector<std::size_t> pool(samples);
-  for (std::size_t i = 0; i < samples; ++i) {
-    pool[i] = i * corpus_size / samples;
-  }
-
-  chosen.push_back(pool[0]);
-  // min_dist[i]: distance from pool[i] to its closest already-chosen centre.
-  std::vector<double> min_dist(samples,
-                               std::numeric_limits<double>::infinity());
-  while (chosen.size() < count) {
-    const Series& latest = at(chosen.back());
-    std::size_t far = samples;  // sentinel: nothing strictly farther than 0
-    double far_dist = 0.0;
-    for (std::size_t i = 0; i < samples; ++i) {
-      double d = LdtwDistance(at(pool[i]), latest, band_k);
-      if (d < min_dist[i]) min_dist[i] = d;
-      if (min_dist[i] > far_dist) {
-        far_dist = min_dist[i];
-        far = i;
-      }
-    }
-    // All remaining samples coincide with a chosen centre: stop early rather
-    // than return duplicate references.
-    if (far == samples) break;
-    chosen.push_back(pool[far]);
-  }
-  return chosen;
-}
-
 double FastMapEmbedding::ResidualSq(const Series& x, const Series& x_coords,
                                     const Series& y, const Series& y_coords,
                                     std::size_t level) const {

@@ -9,26 +9,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "ts/time_series.h"
 
 namespace humdex {
-
-/// Deterministic farthest-first (k-center greedy) selection of `count`
-/// reference series for the LB_Triangle cascade stages (DESIGN.md §11).
-/// `at(i)` must return the i-th corpus series for i < corpus_size; distances
-/// are banded LDTW with radius `band_k` — unlike FastMap below, the selected
-/// indices are only used to pick well-spread references, so DTW's non-metric
-/// behaviour cannot cause false dismissals here. To bound build cost the
-/// maxmin sweep runs over at most 256 evenly spaced corpus indices; the first
-/// centre is the first sampled index, so results are reproducible for a given
-/// corpus order. Returns min(count, #distinct samples) indices.
-std::vector<std::size_t> ChooseReferenceIndices(
-    std::size_t corpus_size,
-    const std::function<const Series&(std::size_t)>& at, std::size_t count,
-    std::size_t band_k);
 
 /// FastMap (Faloutsos & Lin) pivot embedding with DTW as the distance oracle.
 class FastMapEmbedding {

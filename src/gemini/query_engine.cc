@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <memory>
 #include <queue>
 #include <unordered_map>
@@ -14,12 +13,10 @@
 #include <sys/mman.h>
 #endif
 
-#include "gemini/fastmap.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "ts/envelope.h"
 #include "ts/kernels.h"
-#include "ts/lower_bound.h"
 #include "util/status.h"
 
 namespace humdex {
@@ -74,36 +71,6 @@ std::shared_ptr<double> AllocateSeriesRows(std::size_t bytes) {
 constexpr std::size_t kLbCheckStride = 16;
 constexpr std::size_t kDtwBatch = kernels::kMaxLdtwLanes;
 
-// Hard cap on LB_Triangle references: the arena pivot rows and the v2 file
-// format both assume a small fixed set (the bound's payoff flattens long
-// before this; the persistence fuzzer relies on the same limit).
-constexpr std::size_t kMaxTriangleReferences = 64;
-
-/// Per-query stop tracker: answers "should this query keep going?" and, on
-/// the first expiry, marks the stats truncated and bumps the right counter
-/// exactly once. All checks short-circuit to zero work when no deadline or
-/// cancel token is installed.
-// Query-side scalars for the Kim prefilter, computed once per query.
-struct QueryMeta {
-  double first, last, min, max;
-};
-
-QueryMeta MetaOf(const Series& q) {
-  return {q.front(), q.back(), SeriesMin(q), SeriesMax(q)};
-}
-
-// Squared LB_Kim: the endpoints of every warping path align first with first
-// and last with last, and the global extrema of each series align with *some*
-// element of the other, so each squared difference lower-bounds the squared
-// (banded or not) DTW. O(1) per candidate against the arena's meta row.
-inline double KimSq(const QueryMeta& q, const CandidateArena::Meta& m) {
-  double d1 = q.first - m.first;
-  double d2 = q.last - m.last;
-  double d3 = q.max - m.max;
-  double d4 = q.min - m.min;
-  return std::max(std::max(d1 * d1, d2 * d2), std::max(d3 * d3, d4 * d4));
-}
-
 // The cascade compares squared bounds against epsilon^2 with a hair of
 // relative slack: kernel variants may round a boundary sum a few ulps either
 // way, and a candidate whose distance EQUALS epsilon must survive every
@@ -111,6 +78,10 @@ inline double KimSq(const QueryMeta& q, const CandidateArena::Meta& m) {
 // so the slack admits no false positives.
 inline double PruneThreshold(double eps_sq) { return eps_sq + eps_sq * 1e-12; }
 
+/// Per-query stop tracker: answers "should this query keep going?" and, on
+/// the first expiry, marks the stats truncated and bumps the right counter
+/// exactly once. All checks short-circuit to zero work when no deadline or
+/// cancel token is installed.
 class StopGuard {
  public:
   explicit StopGuard(const QueryOptions& qopts) : qopts_(qopts) {}
@@ -185,7 +156,6 @@ void DtwQueryEngine::Add(Series normal_form, std::int64_t id) {
   id_to_pos_[static_cast<std::size_t>(id)] = data_.size();
   arena_.Append(normal_form);
   data_.push_back({std::move(normal_form), id});
-  if (!refs_.empty()) FillPivotRow(data_.size() - 1);
 }
 
 void DtwQueryEngine::AddAll(std::vector<Series> normal_forms) {
@@ -214,36 +184,14 @@ void DtwQueryEngine::AddAll(std::vector<Series> normal_forms,
     arena_.Append(normal_forms[i]);
     data_.push_back({std::move(normal_forms[i]), ids[i]});
   }
-  if (!refs_.empty()) {
-    // References were installed before the bulk build (the persistence
-    // reopen path): fill the freshly appended pivot rows.
-    for (std::size_t i = 0; i < data_.size(); ++i) FillPivotRow(i);
-  } else if (options_.cascade.triangle_references > 0 && !data_.empty()) {
-    AutoChooseReferences();
-  }
 }
 
 void DtwQueryEngine::AddAllPrebuilt(std::vector<Series> normal_forms,
                                     const std::vector<std::int64_t>& ids,
-                                    std::vector<Series> refs,
                                     const double* env_lo, const double* env_hi,
-                                    const CandidateArena::Meta* meta,
-                                    const double* pivot_rows,
                                     std::shared_ptr<const void> owner) {
   HUMDEX_CHECK_MSG(data_.empty(), "AddAllPrebuilt on a non-empty engine");
   HUMDEX_CHECK(normal_forms.size() == ids.size());
-  HUMDEX_CHECK_MSG(refs.size() <= kMaxTriangleReferences,
-                   "too many LB_Triangle references");
-  HUMDEX_CHECK(refs.empty() || pivot_rows != nullptr);
-  refs_.clear();
-  refs_.reserve(refs.size());
-  for (Series& r : refs) {
-    HUMDEX_CHECK(r.size() == options_.normal_len);
-    Ref ref;
-    ref.env = BuildEnvelope(r, band_k_);
-    ref.series = std::move(r);
-    refs_.push_back(std::move(ref));
-  }
   const std::size_t n = normal_forms.size();
   std::int64_t max_id = -1;
   for (std::int64_t id : ids) {
@@ -274,8 +222,7 @@ void DtwQueryEngine::AddAllPrebuilt(std::vector<Series> normal_forms,
     }
   }
   const double* series_rows = bundle->series_rows.get();
-  arena_.AttachPrebuilt(n, series_rows, env_lo, env_hi, meta, pivot_rows,
-                        refs_.size(), std::move(bundle));
+  arena_.AttachPrebuilt(n, series_rows, env_lo, env_hi, std::move(bundle));
   data_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     HUMDEX_CHECK_MSG(id_to_pos_[static_cast<std::size_t>(ids[i])] == SIZE_MAX,
@@ -290,73 +237,6 @@ std::size_t DtwQueryEngine::PosForId(std::int64_t id) const {
     return SIZE_MAX;
   }
   return id_to_pos_[static_cast<std::size_t>(id)];
-}
-
-void DtwQueryEngine::SetReferences(std::vector<Series> refs) {
-  HUMDEX_CHECK_MSG(refs.size() <= kMaxTriangleReferences,
-                   "too many LB_Triangle references");
-  for (const Series& r : refs) {
-    HUMDEX_CHECK(r.size() == options_.normal_len);
-  }
-  refs_.clear();
-  refs_.reserve(refs.size());
-  for (Series& r : refs) {
-    Ref ref;
-    ref.env = BuildEnvelope(r, band_k_);
-    ref.series = std::move(r);
-    refs_.push_back(std::move(ref));
-  }
-  arena_.ConfigurePivots(refs_.size());
-  for (std::size_t pos = 0; pos < data_.size(); ++pos) FillPivotRow(pos);
-}
-
-std::vector<Series> DtwQueryEngine::references() const {
-  std::vector<Series> out;
-  out.reserve(refs_.size());
-  for (const Ref& r : refs_) out.push_back(r.series);
-  return out;
-}
-
-void DtwQueryEngine::FillPivotRow(std::size_t pos) {
-  const std::size_t dims = arena_.pivot_dims();
-  HUMDEX_CHECK(dims == refs_.size() && dims > 0);
-  const std::size_t n = options_.normal_len;
-  const double* s = arena_.series(pos);
-  const double* lo = arena_.env_lo(pos);
-  const double* hi = arena_.env_hi(pos);
-  const kernels::KernelTable& kern = kernels::ActiveKernels();
-  double* row = arena_.pivot_row(pos);
-  for (std::size_t r = 0; r < dims; ++r) {
-    const Ref& ref = refs_[r];
-    // ed: plain Euclidean distance to the reference — a metric, and an upper
-    // bound ingredient for kNN radius seeding (LDTW <= ED, diagonal path).
-    double ed_sq = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      double d = s[i] - ref.series[i];
-      ed_sq += d * d;
-    }
-    row[r] = std::sqrt(ed_sq);
-    // box: d(item, Env(r)) for the corpus-side refinement pass.
-    row[dims + r] = std::sqrt(kern.sq_dist_to_box(
-        s, ref.env.lower.data(), ref.env.upper.data(), n,
-        std::numeric_limits<double>::infinity()));
-    // gap: h(Env(r), Env(item)) for the query-side LB_Triangle.
-    row[2 * dims + r] = EnvelopeGap(ref.env.lower.data(), ref.env.upper.data(),
-                                    lo, hi, n);
-  }
-}
-
-void DtwQueryEngine::AutoChooseReferences() {
-  std::size_t count = std::min(options_.cascade.triangle_references,
-                               kMaxTriangleReferences);
-  if (count == 0 || data_.empty()) return;
-  auto at = [this](std::size_t i) -> const Series& { return data_[i].series; };
-  std::vector<std::size_t> picked =
-      ChooseReferenceIndices(data_.size(), at, count, band_k_);
-  std::vector<Series> refs;
-  refs.reserve(picked.size());
-  for (std::size_t i : picked) refs.push_back(data_[i].series);
-  SetReferences(std::move(refs));
 }
 
 bool DtwQueryEngine::Remove(std::int64_t id) {
@@ -411,7 +291,7 @@ std::vector<Neighbor> DtwQueryEngine::RangeQueryImpl(
   const kernels::KernelTable& kern = kernels::ActiveKernels();
   const std::size_t n = options_.normal_len;
 
-  // Steps 2-3: transformed query envelope, feature-space range query. An
+  // Step 2: transformed query envelope, feature-space range query. An
   // already-expired deadline returns before any work.
   std::vector<std::int64_t> candidates;
   Envelope env;
@@ -430,18 +310,20 @@ std::vector<Neighbor> DtwQueryEngine::RangeQueryImpl(
   const std::uint64_t t_index = obs::MonotonicNowNs();
   local.index_ns = t_index - t_start;
 
-  // Step 4a: O(1) Kim prefilter against the arena's meta rows. Skip-listed
-  // ids (the kNN seed set) drop out here, uncounted by any pruning counter.
-  struct Cand {
+  // Step 3: the raw-space envelope bound in both directions —
+  // LbKeogh(data, Env(query)) <= DTW (Lemma 2 + symmetry) and, from the
+  // arena's precomputed per-item envelopes, LbKeogh(query, Env(data)). Both
+  // in squared space with early abandoning at prune_sq. Skip-listed ids (the
+  // kNN seed set) drop out here, uncounted by the pruning counter.
+  struct Survivor {
     std::int64_t id;
     std::size_t pos;
   };
-  std::vector<Cand> alive;
+  std::vector<Survivor> survivors;
   if (!guard.Stopped(&local)) {
-    HUMDEX_SPAN(span, "query.range.lb_kim");
-    alive.reserve(candidates.size());
-    const bool use_kim = options_.cascade.kim;
-    const QueryMeta qmeta = MetaOf(query);
+    HUMDEX_SPAN(span, "query.range.lb_keogh");
+    survivors.reserve(candidates.size());
+    const bool use_keogh = options_.cascade.keogh;
     for (std::size_t i = 0; i < candidates.size(); ++i) {
       if (i % kLbCheckStride == 0 && guard.Stopped(&local)) break;
       const std::int64_t id = candidates[i];
@@ -450,176 +332,25 @@ std::vector<Neighbor> DtwQueryEngine::RangeQueryImpl(
         continue;
       }
       const std::size_t pos = id_to_pos_[static_cast<std::size_t>(id)];
-      if (use_kim && KimSq(qmeta, arena_.meta(pos)) > prune_sq) {
-        ++local.kim_pruned;
+      if (use_keogh &&
+          (kern.sq_dist_to_box(arena_.series(pos), env.lower.data(),
+                               env.upper.data(), n, prune_sq) > prune_sq ||
+           kern.sq_dist_to_box(query.data(), arena_.env_lo(pos),
+                               arena_.env_hi(pos), n, prune_sq) > prune_sq)) {
+        ++local.keogh_pruned;
         continue;
       }
-      alive.push_back({id, pos});
+      survivors.push_back({id, pos});
     }
-    HUMDEX_SPAN_ATTR(span, "kim_pruned",
-                     static_cast<double>(local.kim_pruned));
-    HUMDEX_SPAN_ATTR(span, "survivors", static_cast<double>(alive.size()));
+    HUMDEX_SPAN_ATTR(span, "pruned", static_cast<double>(local.keogh_pruned));
+    HUMDEX_SPAN_ATTR(span, "survivors", static_cast<double>(survivors.size()));
   }
-  const std::uint64_t t_kim = obs::MonotonicNowNs();
-  local.lb_ns = t_kim - t_index;
-
-  // Step 4b: query-side LB_Triangle (DESIGN.md §11). d(query, Env(r)) is
-  // computed once per query; per candidate, qd[r] - gap[r] (gap precomputed
-  // in the arena's pivot row) lower-bounds d(query, Env(cand)) — the reverse
-  // Keogh bound — and hence LDTW. O(P) per candidate, pruning before any
-  // O(n) per-candidate work.
-  const std::size_t num_refs = refs_.size();
-  if (!guard.stopped() && options_.cascade.triangle && num_refs > 0) {
-    HUMDEX_SPAN(span, "query.range.lb_triangle");
-    std::vector<double> qd(num_refs);
-    for (std::size_t r = 0; r < num_refs; ++r) {
-      qd[r] = DistanceToEnvelope(query, refs_[r].env);
-    }
-    std::vector<Cand> keep;
-    keep.reserve(alive.size());
-    for (std::size_t i = 0; i < alive.size(); ++i) {
-      if (i % kLbCheckStride == 0 && guard.Stopped(&local)) break;
-      const double* gap = arena_.pivot_gap(alive[i].pos);
-      double bound = 0.0;
-      for (std::size_t r = 0; r < num_refs; ++r) {
-        bound = std::max(bound, qd[r] - gap[r]);
-      }
-      if (bound * bound > prune_sq) {
-        ++local.triangle_pruned;
-        continue;
-      }
-      keep.push_back(alive[i]);
-    }
-    alive = std::move(keep);
-    HUMDEX_SPAN_ATTR(span, "pruned",
-                     static_cast<double>(local.triangle_pruned));
-    HUMDEX_SPAN_ATTR(span, "survivors", static_cast<double>(alive.size()));
-  }
-  const std::uint64_t t_triangle = obs::MonotonicNowNs();
-  local.triangle_ns = t_triangle - t_kim;
-
-  // Step 4c: corpus-side reference refinement. box[r] = d(cand, Env(r)) is
-  // precomputed in the arena; h(Env(r), Env(query)) once per query; their
-  // difference lower-bounds the forward LB_Keogh(cand, Env(query)) and
-  // hence LDTW. Runs before the Keogh stage on purpose: once the exact
-  // forward Keogh value is in hand, this bound — never tighter — could not
-  // prune anything Keogh keeps.
-  if (!guard.stopped() && options_.cascade.triangle_refine && num_refs > 0) {
-    HUMDEX_SPAN(span, "query.range.lb_refine");
-    std::vector<double> qh(num_refs);
-    for (std::size_t r = 0; r < num_refs; ++r) {
-      qh[r] = EnvelopeGap(refs_[r].env, env);
-    }
-    std::vector<Cand> keep;
-    keep.reserve(alive.size());
-    for (std::size_t i = 0; i < alive.size(); ++i) {
-      if (i % kLbCheckStride == 0 && guard.Stopped(&local)) break;
-      const double* box = arena_.pivot_box(alive[i].pos);
-      double bound = 0.0;
-      for (std::size_t r = 0; r < num_refs; ++r) {
-        bound = std::max(bound, box[r] - qh[r]);
-      }
-      if (bound * bound > prune_sq) {
-        ++local.refine_pruned;
-        continue;
-      }
-      keep.push_back(alive[i]);
-    }
-    alive = std::move(keep);
-    HUMDEX_SPAN_ATTR(span, "pruned", static_cast<double>(local.refine_pruned));
-    HUMDEX_SPAN_ATTR(span, "survivors", static_cast<double>(alive.size()));
-  }
-  const std::uint64_t t_refine = obs::MonotonicNowNs();
-  local.refine_ns = t_refine - t_triangle;
-
-  // Step 4d: the raw-space envelope bound in both directions —
-  // LbKeogh(data, Env(query)) <= DTW (Lemma 2 + symmetry) and, from the
-  // arena's precomputed per-item envelopes, LbKeogh(query, Env(data)). All
-  // in squared space with early abandoning at prune_sq; a survivor carries
-  // its exact first-pass Keogh sum into LB_Improved (keogh_sq < 0 marks
-  // "not computed" when the stage is toggled off).
-  struct Survivor {
-    std::int64_t id;
-    std::size_t pos;
-    double keogh_sq;
-  };
-  std::vector<Survivor> survivors;
-  if (!guard.stopped()) {
-    if (options_.cascade.keogh) {
-      HUMDEX_SPAN(span, "query.range.lb_keogh");
-      survivors.reserve(alive.size());
-      for (std::size_t i = 0; i < alive.size(); ++i) {
-        if (i % kLbCheckStride == 0 && guard.Stopped(&local)) break;
-        const Cand& c = alive[i];
-        double keogh_sq = kern.sq_dist_to_box(arena_.series(c.pos),
-                                              env.lower.data(),
-                                              env.upper.data(), n, prune_sq);
-        if (keogh_sq > prune_sq) {
-          ++local.keogh_pruned;
-          continue;
-        }
-        double keogh_rev_sq =
-            kern.sq_dist_to_box(query.data(), arena_.env_lo(c.pos),
-                                arena_.env_hi(c.pos), n, prune_sq);
-        if (keogh_rev_sq > prune_sq) {
-          ++local.keogh_pruned;
-          continue;
-        }
-        survivors.push_back({c.id, c.pos, keogh_sq});
-      }
-      HUMDEX_SPAN_ATTR(span, "pruned",
-                       static_cast<double>(local.keogh_pruned));
-      HUMDEX_SPAN_ATTR(span, "survivors",
-                       static_cast<double>(survivors.size()));
-    } else {
-      survivors.reserve(alive.size());
-      for (const Cand& c : alive) survivors.push_back({c.id, c.pos, -1.0});
-    }
-  }
+  local.lb_survivors = survivors.size();
   const std::uint64_t t_lb = obs::MonotonicNowNs();
-  local.lb_ns += t_lb - t_refine;
+  local.lb_ns = t_lb - t_index;
 
-  // Step 4e: Lemire's LB_Improved second pass. Part one is the Keogh sum
-  // already in hand (computed here if the Keogh stage was off — the bound
-  // is defined as the sum of both passes); the second pass bounds the
-  // residual (additive in squared space), abandoning past the headroom.
-  std::vector<Survivor> finalists;
-  if (!guard.stopped() && options_.cascade.improved) {
-    HUMDEX_SPAN(span, "query.range.lb_improved");
-    finalists.reserve(survivors.size());
-    for (std::size_t i = 0; i < survivors.size(); ++i) {
-      if (i % kLbCheckStride == 0 && guard.Stopped(&local)) break;
-      Survivor& s = survivors[i];
-      if (s.keogh_sq < 0.0) {
-        s.keogh_sq = kern.sq_dist_to_box(arena_.series(s.pos),
-                                         env.lower.data(), env.upper.data(),
-                                         n, prune_sq);
-        if (s.keogh_sq > prune_sq) {
-          ++local.improved_pruned;
-          continue;
-        }
-      }
-      double part2 = SquaredLbImprovedSecondPass(
-          data_[s.pos].series, query, env, band_k_, prune_sq - s.keogh_sq);
-      if (s.keogh_sq + part2 > prune_sq) {
-        ++local.improved_pruned;
-        continue;
-      }
-      finalists.push_back(s);
-    }
-    HUMDEX_SPAN_ATTR(span, "pruned",
-                     static_cast<double>(local.improved_pruned));
-    HUMDEX_SPAN_ATTR(span, "survivors",
-                     static_cast<double>(finalists.size()));
-  } else {
-    finalists = std::move(survivors);
-  }
-  local.lb_survivors = finalists.size();
-  const std::uint64_t t_improved = obs::MonotonicNowNs();
-  local.improved_ns = t_improved - t_lb;
-
-  // Step 5: exact banded DTW, squared with early abandoning at the same
-  // slacked threshold, kDtwBatch finalists per lane-kernel call; one sqrt
+  // Step 4: exact banded DTW, squared with early abandoning at the same
+  // slacked threshold, kDtwBatch survivors per lane-kernel call; one sqrt
   // per accepted candidate, and the plain-space `d <= epsilon` comparison
   // stays the authoritative acceptance test. Checked per batch: whatever
   // verified before expiry is returned (still exact for those ids).
@@ -627,12 +358,12 @@ std::vector<Neighbor> DtwQueryEngine::RangeQueryImpl(
   if (!guard.stopped()) {
     HUMDEX_SPAN(span, "query.range.exact_dtw");
     VerifyExact(
-        query, finalists.size(),
-        [&](std::size_t i) { return arena_.series(finalists[i].pos); },
+        query, survivors.size(),
+        [&](std::size_t i) { return arena_.series(survivors[i].pos); },
         band_k_, prune_sq, guard, &local, [&](std::size_t i, double d_sq) {
           if (d_sq <= prune_sq) {
             double d = std::sqrt(d_sq);
-            if (d <= epsilon) out.push_back({finalists[i].id, d});
+            if (d <= epsilon) out.push_back({survivors[i].id, d});
           }
         });
     std::sort(out.begin(), out.end());
@@ -642,22 +373,16 @@ std::vector<Neighbor> DtwQueryEngine::RangeQueryImpl(
     HUMDEX_SPAN_ATTR(span, "results", static_cast<double>(local.results));
   }
   const std::uint64_t t_end = obs::MonotonicNowNs();
-  local.dtw_ns = t_end - t_improved;
+  local.dtw_ns = t_end - t_lb;
   local.total_ns = t_end - t_start;
   HUMDEX_SPAN_ATTR(query_span, "truncated", local.truncated ? 1.0 : 0.0);
 
   static obs::Histogram& h_index = RangeHistogram("index_ns");
   static obs::Histogram& h_lb = RangeHistogram("lb_ns");
-  static obs::Histogram& h_triangle = RangeHistogram("triangle_ns");
-  static obs::Histogram& h_refine = RangeHistogram("refine_ns");
-  static obs::Histogram& h_improved = RangeHistogram("improved_ns");
   static obs::Histogram& h_dtw = RangeHistogram("dtw_ns");
   static obs::Histogram& h_total = RangeHistogram("total_ns");
   h_index.Record(local.index_ns);
   h_lb.Record(local.lb_ns);
-  h_triangle.Record(local.triangle_ns);
-  h_refine.Record(local.refine_ns);
-  h_improved.Record(local.improved_ns);
   h_dtw.Record(local.dtw_ns);
   h_total.Record(local.total_ns);
 
@@ -720,35 +445,6 @@ std::vector<Neighbor> DtwQueryEngine::KnnQuery(const Series& query, std::size_t 
   }
   const std::uint64_t t_seed = obs::MonotonicNowNs();
 
-  // Reference-seeded radius shrink: the banded LDTW never exceeds the plain
-  // Euclidean distance (the diagonal path is admissible), and ED *is* a
-  // metric, so LDTW(q, c) <= ED(q, r) + ED(r, c) for every reference r. The
-  // kth-smallest such upper bound over the whole corpus caps the true kNN
-  // distance, so min(seed radius, tau) still yields a superset range query —
-  // usually a much smaller one. O(P * corpus) adds, no DTW.
-  if (!guard.stopped() && !refs_.empty()) {
-    HUMDEX_SPAN(span, "query.knn.tau_seed");
-    const std::size_t num_refs = refs_.size();
-    std::vector<double> qed(num_refs);
-    for (std::size_t r = 0; r < num_refs; ++r) {
-      qed[r] = EuclideanDistance(query, refs_[r].series);
-    }
-    std::vector<double> ub(data_.size());
-    for (std::size_t pos = 0; pos < data_.size(); ++pos) {
-      const double* ed = arena_.pivot_ed(pos);
-      double u = qed[0] + ed[0];
-      for (std::size_t r = 1; r < num_refs; ++r) {
-        u = std::min(u, qed[r] + ed[r]);
-      }
-      ub[pos] = u;
-    }
-    std::nth_element(ub.begin(), ub.begin() + (k - 1), ub.end());
-    double tau = ub[k - 1];
-    radius = std::min(radius, tau);
-    local.triangle_ns += obs::MonotonicNowNs() - t_seed;
-    HUMDEX_SPAN_ATTR(span, "tau", tau);
-  }
-
   std::vector<Neighbor> in_range;
   if (!guard.stopped()) {
     // Step 2: one guaranteed-superset range query, then rank exactly. The
@@ -761,22 +457,14 @@ std::vector<Neighbor> DtwQueryEngine::KnnQuery(const Series& query, std::size_t 
     QueryStats range_stats;
     in_range = RangeQueryImpl(query, radius, qopts, &range_stats, &skip);
     local.index_candidates = range_stats.index_candidates;
-    local.kim_pruned = range_stats.kim_pruned;
-    local.triangle_pruned = range_stats.triangle_pruned;
-    local.refine_pruned = range_stats.refine_pruned;
     local.keogh_pruned = range_stats.keogh_pruned;
-    local.improved_pruned = range_stats.improved_pruned;
     local.lb_survivors = range_stats.lb_survivors;
     local.page_accesses += range_stats.page_accesses;
     local.exact_dtw_calls += range_stats.exact_dtw_calls;
     local.truncated = local.truncated || range_stats.truncated;
-    // The seed stage is exact-DTW-dominated; bill it to the DTW stage. The
-    // tau scan above already landed in triangle_ns.
+    // The seed stage is exact-DTW-dominated; bill it to the DTW stage.
     local.index_ns = range_stats.index_ns;
     local.lb_ns = range_stats.lb_ns;
-    local.triangle_ns += range_stats.triangle_ns;
-    local.refine_ns = range_stats.refine_ns;
-    local.improved_ns = range_stats.improved_ns;
     local.dtw_ns = range_stats.dtw_ns + (t_seed - t_start);
   }
 
@@ -897,51 +585,8 @@ std::vector<Neighbor> DtwQueryEngine::KnnQueryOptimal(const Series& query,
   Envelope env = BuildEnvelope(query, band_k_);
   const kernels::KernelTable& kern = kernels::ActiveKernels();
   const std::size_t n = options_.normal_len;
-  const bool use_kim = options_.cascade.kim;
   const bool use_keogh = options_.cascade.keogh;
-  const bool use_improved = options_.cascade.improved;
-  const std::size_t num_refs = refs_.size();
-  const bool use_triangle = options_.cascade.triangle && num_refs > 0;
-  const bool use_refine = options_.cascade.triangle_refine && num_refs > 0;
-  const QueryMeta qmeta = MetaOf(query);
 
-  // Reference precompute: the per-query LB_Triangle ingredients and the
-  // ED-through-reference upper bound tau (see KnnQuery) — with tau in hand
-  // the cascade can prune from the very first candidate instead of paying k
-  // unconditional exact DTW computations to fill the heap.
-  double tau = std::numeric_limits<double>::infinity();
-  std::vector<double> ref_qd, ref_qh;
-  if (num_refs > 0) {
-    stage_mark = obs::MonotonicNowNs();
-    if (use_triangle) {
-      ref_qd.resize(num_refs);
-      for (std::size_t r = 0; r < num_refs; ++r) {
-        ref_qd[r] = DistanceToEnvelope(query, refs_[r].env);
-      }
-    }
-    if (use_refine) {
-      ref_qh.resize(num_refs);
-      for (std::size_t r = 0; r < num_refs; ++r) {
-        ref_qh[r] = EnvelopeGap(refs_[r].env, env);
-      }
-    }
-    std::vector<double> qed(num_refs);
-    for (std::size_t r = 0; r < num_refs; ++r) {
-      qed[r] = EuclideanDistance(query, refs_[r].series);
-    }
-    std::vector<double> ub(data_.size());
-    for (std::size_t pos = 0; pos < data_.size(); ++pos) {
-      const double* ed = arena_.pivot_ed(pos);
-      double u = qed[0] + ed[0];
-      for (std::size_t r = 1; r < num_refs; ++r) {
-        u = std::min(u, qed[r] + ed[r]);
-      }
-      ub[pos] = u;
-    }
-    std::nth_element(ub.begin(), ub.begin() + (k - 1), ub.end());
-    tau = ub[k - 1];
-    bill_stage(local.triangle_ns);
-  }
   // First-pass Keogh sums by id. The doubling re-fetch can hand back an
   // already-examined candidate (tie reordering between prefixes); its sum —
   // exact, or a partial that exceeded a threshold the shrinking heap top can
@@ -955,7 +600,12 @@ std::vector<Neighbor> DtwQueryEngine::KnnQueryOptimal(const Series& query,
   // Candidates stream in increasing feature-space lower-bound order. The
   // index is re-queried with a doubling prefix; each re-query is cheap
   // relative to the exact DTW computations it saves.
-  std::priority_queue<Neighbor> best;  // max-heap: kth best exact on top
+  //
+  // Max-heap of the k best (distance, id) pairs, ordered like the answer:
+  // among equal distances the smaller id ranks first, so the top is the
+  // neighbor a better candidate evicts, exactly as KnnQuery's final sort
+  // would cut it.
+  std::priority_queue<Neighbor> best;
   std::size_t fetch = std::max<std::size_t>(2 * k, 16);
   bool done = false;
   while (!done) {
@@ -977,11 +627,12 @@ std::vector<Neighbor> DtwQueryEngine::KnnQueryOptimal(const Series& query,
         done = true;
         break;
       }
-      double lb_feature = ranked[i].distance;
       // The stream is ascending, so the first entry — examined before or not
-      // — whose feature bound reaches the kth best exact distance proves
-      // every unexamined candidate is at least that far away.
-      if (best.size() == k && lb_feature >= best.top().distance) {
+      // — whose feature bound exceeds the kth best exact distance proves
+      // every unexamined candidate is farther away. A bound merely equal to
+      // it does not: that candidate may tie the kth distance with a smaller
+      // id and so belong in the answer.
+      if (best.size() == k && ranked[i].distance > best.top().distance) {
         done = true;  // optimal stopping condition
         break;
       }
@@ -989,16 +640,9 @@ std::vector<Neighbor> DtwQueryEngine::KnnQueryOptimal(const Series& query,
       if (!examined.insert(id).second) continue;
       ++local.index_candidates;
       const std::size_t pos = id_to_pos_[static_cast<std::size_t>(id)];
-      // The pruning cap: the kth best exact distance once the heap is full,
-      // tightened by tau when references exist — and tau alone while the
-      // heap is still filling. A candidate pruned against tau has
-      // LDTW > tau >= the true kth distance, so it can never be an answer.
-      const double cap = best.size() == k
-                             ? std::min(best.top().distance, tau)
-                             : tau;
-      if (!std::isfinite(cap)) {
-        // No references and the heap is still filling: nothing to prune
-        // against yet, exact DTW unconditionally.
+      if (best.size() < k) {
+        // The heap is still filling: nothing to prune against yet, exact DTW
+        // unconditionally.
         ++local.lb_survivors;
         ++local.exact_dtw_calls;
         stage_mark = obs::MonotonicNowNs();
@@ -1008,47 +652,17 @@ std::vector<Neighbor> DtwQueryEngine::KnnQueryOptimal(const Series& query,
         continue;
       }
       // Squared cap with the usual slack so kernel rounding cannot evict a
-      // true neighbor; the exact plain-space comparisons below stay
-      // authoritative. The cap only shrinks over the query's lifetime (tau
-      // is fixed, the heap top is non-increasing), so memoized partial
-      // Keogh sums that exceeded an older threshold still prune correctly.
+      // true neighbor — or a tie of the kth distance; the exact plain-space
+      // comparison below stays authoritative. The cap only shrinks over the
+      // query's lifetime (the heap top is non-increasing), so memoized
+      // partial Keogh sums that exceeded an older threshold still prune
+      // correctly.
+      const double cap = best.top().distance;
       const double prune_sq = PruneThreshold(cap * cap);
-      stage_mark = obs::MonotonicNowNs();
-      if (use_kim && KimSq(qmeta, arena_.meta(pos)) > prune_sq) {
-        ++local.kim_pruned;
-        bill_stage(local.lb_ns);
-        continue;
-      }
-      bill_stage(local.lb_ns);
-      if (use_triangle) {
-        const double* gap = arena_.pivot_gap(pos);
-        double bound = 0.0;
-        for (std::size_t r = 0; r < num_refs; ++r) {
-          bound = std::max(bound, ref_qd[r] - gap[r]);
-        }
-        bill_stage(local.triangle_ns);
-        if (bound * bound > prune_sq) {
-          ++local.triangle_pruned;
-          continue;
-        }
-      }
-      if (use_refine) {
-        const double* box = arena_.pivot_box(pos);
-        double bound = 0.0;
-        for (std::size_t r = 0; r < num_refs; ++r) {
-          bound = std::max(bound, box[r] - ref_qh[r]);
-        }
-        bill_stage(local.refine_ns);
-        if (bound * bound > prune_sq) {
-          ++local.refine_pruned;
-          continue;
-        }
-      }
-      // First-pass Keogh sum, memoized across re-fetches; -1 marks "not
-      // computed" when both consumers (Keogh stage, LB_Improved) are off.
-      double keogh_sq = -1.0;
-      if (use_keogh || use_improved) {
+      if (use_keogh) {
+        stage_mark = obs::MonotonicNowNs();
         auto memo = keogh_memo.find(id);
+        double keogh_sq;
         if (memo != keogh_memo.end()) {
           keogh_sq = memo->second;
         } else {
@@ -1056,33 +670,13 @@ std::vector<Neighbor> DtwQueryEngine::KnnQueryOptimal(const Series& query,
                                          env.upper.data(), n, prune_sq);
           keogh_memo.emplace(id, keogh_sq);
         }
-      }
-      if (use_keogh) {
-        if (keogh_sq > prune_sq) {
-          ++local.keogh_pruned;
-          bill_stage(local.lb_ns);
-          continue;
-        }
-        double keogh_rev_sq = kern.sq_dist_to_box(
-            query.data(), arena_.env_lo(pos), arena_.env_hi(pos), n, prune_sq);
+        const bool pruned =
+            keogh_sq > prune_sq ||
+            kern.sq_dist_to_box(query.data(), arena_.env_lo(pos),
+                                arena_.env_hi(pos), n, prune_sq) > prune_sq;
         bill_stage(local.lb_ns);
-        if (keogh_rev_sq > prune_sq) {
+        if (pruned) {
           ++local.keogh_pruned;
-          continue;
-        }
-      }
-      if (use_improved) {
-        if (!use_keogh && keogh_sq > prune_sq) {
-          ++local.improved_pruned;
-          bill_stage(local.improved_ns);
-          continue;
-        }
-        double part2 = SquaredLbImprovedSecondPass(data_[pos].series, query,
-                                                   env, band_k_,
-                                                   prune_sq - keogh_sq);
-        bill_stage(local.improved_ns);
-        if (keogh_sq + part2 > prune_sq) {
-          ++local.improved_pruned;
           continue;
         }
       }
@@ -1093,12 +687,10 @@ std::vector<Neighbor> DtwQueryEngine::KnnQueryOptimal(const Series& query,
                                                     band_k_, prune_sq);
       bill_stage(local.dtw_ns);
       if (d_sq <= prune_sq) {
-        double d = std::sqrt(d_sq);
-        if (best.size() < k) {
-          best.push({id, d});
-        } else if (d < best.top().distance) {
+        const Neighbor candidate{id, std::sqrt(d_sq)};
+        if (candidate < best.top()) {
           best.pop();
-          best.push({id, d});
+          best.push(candidate);
         }
       }
     }
@@ -1118,16 +710,8 @@ std::vector<Neighbor> DtwQueryEngine::KnnQueryOptimal(const Series& query,
   local.total_ns = obs::MonotonicNowNs() - t_start;
   HUMDEX_SPAN_ATTR(query_span, "candidates",
                    static_cast<double>(local.index_candidates));
-  HUMDEX_SPAN_ATTR(query_span, "kim_pruned",
-                   static_cast<double>(local.kim_pruned));
-  HUMDEX_SPAN_ATTR(query_span, "triangle_pruned",
-                   static_cast<double>(local.triangle_pruned));
-  HUMDEX_SPAN_ATTR(query_span, "refine_pruned",
-                   static_cast<double>(local.refine_pruned));
   HUMDEX_SPAN_ATTR(query_span, "keogh_pruned",
                    static_cast<double>(local.keogh_pruned));
-  HUMDEX_SPAN_ATTR(query_span, "improved_pruned",
-                   static_cast<double>(local.improved_pruned));
   HUMDEX_SPAN_ATTR(query_span, "survivors",
                    static_cast<double>(local.lb_survivors));
   HUMDEX_SPAN_ATTR(query_span, "dtw_calls",

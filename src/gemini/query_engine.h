@@ -1,22 +1,21 @@
-// The end-to-end DTW query pipeline of §4.3, run as a squared-space filter
-// cascade (DESIGN.md §10):
+// The end-to-end DTW query pipeline of §4.3, run as a squared-space
+// three-stage cascade (DESIGN.md §10):
 //
 //   1. every data series is reduced to a feature vector and indexed;
-//   2. a query's k-envelope is transformed to a feature-space rectangle;
-//   3. an epsilon-range query on the index returns a candidate superset
-//      (no false negatives by Theorem 1);
-//   4. candidates pass an O(1) Kim prefilter (first/last/extrema), then the
-//      O(P) reference-point bound LB_Triangle with its corpus-side
-//      refinement pass (DESIGN.md §11), then the raw-space envelope bound
-//      LB_Keogh in both directions (Lemma 2 + symmetry), then Lemire's
-//      two-pass LB_Improved;
-//   5. survivors are verified with the exact banded DTW (early-abandoning).
+//   2. a query's k-envelope is transformed to a feature-space rectangle, and
+//      an epsilon-range query on the index returns a candidate superset (no
+//      false negatives by Theorem 1);
+//   3. candidates pass the raw-space envelope bound LB_Keogh in both
+//      directions (Lemma 2 + symmetry), against the query's envelope and
+//      against each candidate's precomputed envelope;
+//   4. survivors are verified with the exact banded DTW, several candidates
+//      per lane-parallel kernel call, with per-lane early abandoning.
 //
 // Every stage compares squared distances against epsilon^2; the single sqrt
 // per reported result happens at the very end. The cascade is exact: each
 // stage is a true lower bound, so the result set is identical to a brute
-// force scan regardless of which stages are enabled or which SIMD kernel
-// variant (ts/kernels.h) runs them.
+// force scan whether or not the Keogh stage runs and whichever SIMD kernel
+// variant (ts/kernels.h) runs it.
 //
 // kNN queries use the two-step scheme of Korn et al. [17] cited by the
 // paper: a feature-space kNN seeds an upper bound, one range query with that
@@ -39,25 +38,27 @@ namespace humdex {
 /// §5.3 plus the filter-cascade breakdown, and the wall-clock side — per-stage
 /// monotonic-clock nanoseconds, always collected (a handful of clock reads per
 /// query). For distributions rather than sums, the engine also feeds the
-/// stage latencies into the obs metrics registry; see DESIGN.md §7.
+/// stage latencies into the obs metrics registry; see DESIGN.md §7. The
+/// kim/triangle/refine/improved fields belong to removed cascade stages
+/// (DESIGN.md §11); they stay so that stats consumers keep their schema, and
+/// always read 0.
 struct QueryStats {
   std::size_t index_candidates = 0;  ///< ids returned by the feature index
-  std::size_t kim_pruned = 0;        ///< ids dropped by the O(1) Kim stage
-  std::size_t triangle_pruned = 0;   ///< ids dropped by LB_Triangle (O(P))
-  std::size_t refine_pruned = 0;     ///< ids dropped by the corpus-side
-                                     ///< reference refinement pass
+  std::size_t kim_pruned = 0;        ///< removed stage: always 0
+  std::size_t triangle_pruned = 0;   ///< removed stage: always 0
+  std::size_t refine_pruned = 0;     ///< removed stage: always 0
   std::size_t keogh_pruned = 0;      ///< ids dropped by the LB_Keogh stage
-  std::size_t improved_pruned = 0;   ///< ids dropped by LB_Improved's 2nd pass
+  std::size_t improved_pruned = 0;   ///< removed stage: always 0
   std::size_t lb_survivors = 0;      ///< ids entering exact DTW verification
   std::size_t results = 0;           ///< ids verified by exact DTW
   std::size_t page_accesses = 0;     ///< index pages touched
   std::size_t exact_dtw_calls = 0;   ///< banded DTW computations performed
 
   std::uint64_t index_ns = 0;     ///< envelope build + feature-index probe time
-  std::uint64_t lb_ns = 0;        ///< Kim + Keogh envelope-bound filter time
-  std::uint64_t triangle_ns = 0;  ///< LB_Triangle reference-bound filter time
-  std::uint64_t refine_ns = 0;    ///< corpus-side reference refinement time
-  std::uint64_t improved_ns = 0;  ///< LB_Improved second-pass filter time
+  std::uint64_t lb_ns = 0;        ///< LB_Keogh envelope-bound filter time
+  std::uint64_t triangle_ns = 0;  ///< removed stage: always 0
+  std::uint64_t refine_ns = 0;    ///< removed stage: always 0
+  std::uint64_t improved_ns = 0;  ///< removed stage: always 0
   std::uint64_t dtw_ns = 0;       ///< exact banded DTW verification time
   std::uint64_t total_ns = 0;     ///< whole-query wall time (>= the stage sum)
 
@@ -118,28 +119,12 @@ struct QueryStats {
   }
 };
 
-/// Which optional lower-bound stages the filter cascade runs. Every stage is
-/// a true lower bound, so disabling one never changes the result set — it
-/// only shifts work onto the later, more expensive stages. Exposed for the
-/// ablation benches that measure each stage's pruning power.
+/// Which optional lower-bound stages the filter cascade runs. The stage is a
+/// true lower bound, so disabling it never changes the result set — it only
+/// shifts work onto exact DTW. Exposed for the oracle tests and the ablation
+/// bench that measure its pruning power.
 struct CascadeOptions {
-  bool kim = true;       ///< O(1) first/last/extrema prefilter (LB_Kim)
-  bool triangle = true;  ///< O(P) reference-point LB_Triangle stage (§11)
-  bool keogh = true;     ///< O(n) LB_Keogh envelope stage (both directions)
-  bool improved = true;  ///< Lemire's two-pass LB_Improved stage
-
-  /// Second reference pass before exact LDTW: per surviving candidate c, the
-  /// precomputed d(c, Env(r)) minus the per-query h(Env(r), Env(q)) lower
-  /// bounds the forward LB_Keogh(c, Env(q)) and hence LDTW. Runs right
-  /// before the Keogh stage (after the exact forward Keogh value it can
-  /// never prune more). Ignored when `triangle` references are absent.
-  bool triangle_refine = true;
-
-  /// How many reference series the engine auto-selects at bulk build when
-  /// none were installed via SetReferences. 0 disables auto-selection (the
-  /// triangle stages are then inert until SetReferences is called before the
-  /// corpus is built).
-  std::size_t triangle_references = 4;
+  bool keogh = true;  ///< O(n) LB_Keogh envelope stage (both directions)
 };
 
 /// Engine options. Data and queries must be normal forms of length
@@ -172,43 +157,26 @@ class DtwQueryEngine {
               const std::vector<std::int64_t>& ids);
 
   /// v3 fast-open bulk build (DESIGN.md §14): adopt decoded normal forms
-  /// plus the checkpoint's prebuilt cascade data — per-item envelopes, Kim
-  /// meta rows, and (when `refs` is non-empty) LB_Triangle pivot rows —
-  /// borrowed zero-copy from `owner` (a file mapping) instead of recomputed.
-  /// Array layouts are CandidateArena::AttachPrebuilt's; rows follow the
-  /// order of `normal_forms`, pivot columns the order of `refs`. Deliberately
-  /// leaves the feature index empty: the caller restores it next, from
-  /// serialized pages or stored feature vectors (mutable_feature_index()).
-  /// Only valid while the engine is empty.
+  /// plus the checkpoint's prebuilt per-item envelopes, borrowed zero-copy
+  /// from `owner` (a file mapping) instead of recomputed. The envelope layout
+  /// is CandidateArena::AttachPrebuilt's; rows follow the order of
+  /// `normal_forms`. Deliberately leaves the feature index empty: the caller
+  /// restores it next, from serialized pages or stored feature vectors
+  /// (mutable_feature_index()). Only valid while the engine is empty.
   void AddAllPrebuilt(std::vector<Series> normal_forms,
                       const std::vector<std::int64_t>& ids,
-                      std::vector<Series> refs, const double* env_lo,
-                      const double* env_hi, const CandidateArena::Meta* meta,
-                      const double* pivot_rows,
+                      const double* env_lo, const double* env_hi,
                       std::shared_ptr<const void> owner);
 
   /// Remove a stored series by id. Returns false when the id is unknown.
   /// Subsequent queries behave as if it was never added.
   bool Remove(std::int64_t id);
 
-  /// Install the reference series driving the LB_Triangle stages (normal
-  /// forms of length options.normal_len; at most 64). Existing pivot rows
-  /// are recomputed, so this may be called at any time — but for bulk builds
-  /// call it *before* AddAll to skip the automatic selection. An empty
-  /// vector drops the references and makes the triangle stages inert.
-  /// Not thread-safe against concurrent queries (a write, like Add/Remove).
-  void SetReferences(std::vector<Series> refs);
-
-  /// Copies of the installed reference series, in pivot-column order (empty
-  /// when the triangle stages are inert). The persistence layer stores these
-  /// so reopened databases prune identically.
-  std::vector<Series> references() const;
-
   std::size_t size() const { return data_.size(); }
   std::size_t band_radius() const { return band_k_; }
 
-  /// Read access for the persistence layer: the SoA arena (envelopes, meta,
-  /// pivot rows are serialized straight out of it) and per-position rows.
+  /// Read access for the persistence layer: the SoA arena (envelopes are
+  /// serialized straight out of it) and per-position rows.
   const CandidateArena& arena() const { return arena_; }
   /// Arena/data position of `id`, or SIZE_MAX when absent.
   std::size_t PosForId(std::int64_t id) const;
@@ -289,7 +257,8 @@ class DtwQueryEngine {
   /// order; exact DTW is computed one candidate at a time; the search stops
   /// as soon as the next lower bound exceeds the kth best exact distance.
   /// Performs the provably minimal number of exact computations for the
-  /// lower bound in use. Exact; same answers as KnnQuery.
+  /// lower bound in use. Exact; same answers as KnnQuery, ties included:
+  /// among equal distances the smaller id ranks first.
   std::vector<Neighbor> KnnQueryOptimal(const Series& query, std::size_t k,
                                         QueryStats* stats = nullptr) const;
 
@@ -313,22 +282,7 @@ class DtwQueryEngine {
     std::int64_t id;
   };
 
-  /// One LB_Triangle reference: the series and its k-envelope, immutable
-  /// once installed (pivot rows in the arena are derived from it).
-  struct Ref {
-    Series series;
-    Envelope env;
-  };
-
   const Item& ItemFor(std::int64_t id) const;
-
-  /// Compute the arena pivot row for position `pos` from refs_: per
-  /// reference r, ED(item, r), d(item, Env(r)), h(Env(r), Env(item)).
-  void FillPivotRow(std::size_t pos);
-
-  /// Farthest-first auto-selection of cascade.triangle_references references
-  /// from the freshly built corpus (bulk-build path, refs_ empty).
-  void AutoChooseReferences();
 
   /// The shared range cascade. `skip_ids` (sorted ascending, may be null)
   /// are candidates whose exact distances the caller already holds — the kNN
@@ -345,7 +299,6 @@ class DtwQueryEngine {
   std::vector<Item> data_;
   std::vector<std::size_t> id_to_pos_;  // dense id -> position map
   CandidateArena arena_;  // SoA mirror of data_ for the filter cascade
-  std::vector<Ref> refs_;  // LB_Triangle references (pivot-column order)
 };
 
 }  // namespace humdex

@@ -61,9 +61,7 @@ std::string SerializeCheckpoint(const QbhOptions& opt,
   if (opt.format == CheckpointFormat::kV3Binary && engine != nullptr) {
     return SerializeQbhCorpusV3(opt, slots, *engine);
   }
-  return SerializeQbhCorpus(opt, slots,
-                            engine == nullptr ? std::vector<Series>()
-                                              : engine->references());
+  return SerializeQbhCorpus(opt, slots);
 }
 
 }  // namespace
@@ -218,13 +216,6 @@ void QbhSystem::Build() {
   eopts.index.kind = options_.index;
   eopts.cascade = options_.cascade;
   engine_ = std::make_unique<DtwQueryEngine>(std::move(scheme), eopts);
-  if (!pending_refs_.empty()) {
-    // A checkpoint's references, installed before the bulk build so AddAll
-    // fills pivot rows against them instead of auto-selecting a fresh set —
-    // the reopened system prunes exactly as the saved one did.
-    engine_->SetReferences(std::move(pending_refs_));
-    pending_refs_.clear();
-  }
   engine_->AddAll(std::move(normals), ids);
 }
 
@@ -234,22 +225,7 @@ void QbhSystem::InstallPrebuiltEngine(std::unique_ptr<DtwQueryEngine> engine) {
   HUMDEX_CHECK(engine != nullptr);
   HUMDEX_CHECK_MSG(engine->size() == live_count_,
                    "prebuilt engine does not hold exactly the live melodies");
-  pending_refs_.clear();  // the prebuilt engine carries its own references
   engine_ = std::move(engine);
-}
-
-void QbhSystem::SetPendingReferences(std::vector<Series> refs) {
-  HUMDEX_CHECK_MSG(engine_ == nullptr, "SetPendingReferences after Build()");
-  for (const Series& r : refs) {
-    HUMDEX_CHECK(r.size() == options_.normal_len);
-  }
-  pending_refs_ = std::move(refs);
-}
-
-std::vector<Series> QbhSystem::References() const {
-  std::shared_lock<std::shared_mutex> lock(*mu_);
-  if (engine_ == nullptr) return {};
-  return engine_->references();
 }
 
 Series QbhSystem::HumToNormalForm(const Series& hum_pitch) const {

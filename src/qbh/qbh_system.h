@@ -107,18 +107,6 @@ class QbhSystem {
   /// Pre-Build only.
   void ReserveIds(std::int64_t next_id);
 
-  /// Storage/recovery plumbing: install the LB_Triangle reference series a
-  /// checkpoint carried, so the reopened system prunes with exactly the
-  /// references it was saved with (instead of re-selecting from the corpus).
-  /// Pre-Build only; Build() consumes them. Series must be normal forms of
-  /// length options.normal_len — the storage layer validates before calling.
-  void SetPendingReferences(std::vector<Series> refs);
-
-  /// Copies of the engine's LB_Triangle reference series, in pivot order
-  /// (empty before Build() or when the triangle stages are disabled). What
-  /// checkpoints persist.
-  std::vector<Series> References() const;
-
   /// Fit the feature scheme (SVD needs the corpus) and build the index.
   void Build();
 
@@ -211,7 +199,7 @@ class QbhSystem {
   std::vector<std::optional<Melody>> CorpusSnapshot() const;
 
   /// The full corpus serialized to checkpoint bytes (v2 format: options,
-  /// id-stable melody blocks, pivots, CRC32C trailer) — the unit snapshot
+  /// id-stable melody blocks, CRC32C trailer) — the unit snapshot
   /// shipping moves between replicas. Consistent: serialized under the
   /// reader lock, so it observes all or none of any concurrent mutation.
   std::string ExportSnapshot() const;
@@ -325,9 +313,6 @@ class QbhSystem {
                                    Env* env, RecoveryStats* stats);
 
   QbhOptions options_;
-  // References restored from a checkpoint, waiting for Build() to install
-  // them into the engine (empty means Build() auto-selects).
-  std::vector<Series> pending_refs_;
   // Slot == id; nullopt == tombstone (removed, id never reused).
   std::vector<std::optional<Melody>> melodies_;
   std::size_t live_count_ = 0;

@@ -1,7 +1,6 @@
 #include "qbh/storage.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
@@ -186,7 +185,6 @@ using storage_detail::CorruptionCounter;
 using storage_detail::IndexName;
 using storage_detail::kMaxNextId;
 using storage_detail::kMaxNormalLen;
-using storage_detail::kMaxPivots;
 using storage_detail::SalvagedCounter;
 using storage_detail::SchemeName;
 using storage_detail::ValidateOptions;
@@ -195,32 +193,12 @@ using storage_detail::ValidateOptions;
 struct DbMeta {
   std::optional<std::size_t> next_id;
   std::optional<std::vector<std::size_t>> ids;
-  /// LB_Triangle reference block: `option pivots <n>` plus n `pivot ...`
-  /// lines. Both absent in files saved without references.
-  std::optional<std::size_t> pivot_count;
-  std::vector<Series> pivots;
 };
 
-/// Parse one `pivot <v0> <v1> ...` line. Every value must be a finite
-/// double; length is validated later against normal_len (the option may
-/// legally appear after the pivot lines in a crafted file).
-Status ParsePivotLine(const std::string& line, Series* out) {
-  out->clear();
-  std::istringstream fields(line.substr(6));
-  std::string tok;
-  while (fields >> tok) {
-    if (out->size() >= kMaxNormalLen) {
-      return Status::InvalidArgument("pivot line too long");
-    }
-    double v = 0.0;
-    HUMDEX_RETURN_IF_ERROR(ParseDouble(tok, &v));
-    if (!std::isfinite(v)) {
-      return Status::InvalidArgument("non-finite pivot value");
-    }
-    out->push_back(v);
-  }
-  if (out->empty()) return Status::InvalidArgument("empty pivot line");
-  return Status::OK();
+/// A header line of the legacy LB_Triangle reference block (`option pivots
+/// <n>` or `pivot <v0> ...`), which both loaders skip unread.
+bool IsLegacyPivotLine(const std::string& line) {
+  return line.rfind("pivot ", 0) == 0 || line.rfind("option pivots ", 0) == 0;
 }
 
 Status ParseIdList(const std::string& value, std::vector<std::size_t>* out) {
@@ -270,6 +248,7 @@ Status ParseBody(std::istream& in, QbhOptions* opt, DbMeta* meta,
   std::ostringstream rest;
   bool in_header = true;
   while (std::getline(in, line)) {
+    if (in_header && IsLegacyPivotLine(line)) continue;
     if (in_header && line.rfind("option ", 0) == 0) {
       std::istringstream fields(line.substr(7));
       std::string key, value;
@@ -291,23 +270,7 @@ Status ParseBody(std::istream& in, QbhOptions* opt, DbMeta* meta,
         meta->ids = std::move(ids);
         continue;
       }
-      if (key == "pivots") {
-        std::size_t count = 0;
-        HUMDEX_RETURN_IF_ERROR(ParseSize(value, &count));
-        if (count == 0 || count > kMaxPivots) {
-          return Status::InvalidArgument("pivots count out of range: " + value);
-        }
-        meta->pivot_count = count;
-        continue;
-      }
       HUMDEX_RETURN_IF_ERROR(ApplyOption(key, value, opt));
-    } else if (in_header && line.rfind("pivot ", 0) == 0) {
-      if (meta->pivots.size() >= kMaxPivots) {
-        return Status::InvalidArgument("too many pivot lines");
-      }
-      Series p;
-      HUMDEX_RETURN_IF_ERROR(ParsePivotLine(line, &p));
-      meta->pivots.push_back(std::move(p));
     } else {
       in_header = false;
       rest << line << '\n';
@@ -323,25 +286,7 @@ Result<QbhSystem> BuildSystem(QbhOptions opt, std::vector<Melody> corpus,
   if (opt.scheme == SchemeKind::kSvd && corpus.size() < 2) {
     return Status::InvalidArgument("SVD scheme needs at least 2 melodies");
   }
-  // Pivot block consistency: the declared count must match the pivot lines
-  // and every reference must be a normal form of the declared length. All
-  // failures are Status — a corrupt pivot block must never reach the
-  // CHECK-guarded SetReferences path.
-  if (meta.pivot_count.has_value() || !meta.pivots.empty()) {
-    if (!meta.pivot_count.has_value() ||
-        *meta.pivot_count != meta.pivots.size()) {
-      return Corruption("pivot count does not match pivot lines");
-    }
-    for (const Series& p : meta.pivots) {
-      if (p.size() != opt.normal_len) {
-        return Corruption("pivot length does not match normal_len");
-      }
-    }
-  }
   QbhSystem system(opt);
-  if (!meta.pivots.empty()) {
-    system.SetPendingReferences(std::move(meta.pivots));
-  }
   if (meta.ids.has_value()) {
     if (meta.ids->size() != corpus.size()) {
       return Corruption("id list length does not match melody count");
@@ -393,30 +338,14 @@ std::string SerializeQbhDatabase(const QbhSystem& system) {
     return SerializeQbhCorpusV3(system.options(), system.CorpusSnapshot(),
                                 *system.engine());
   }
-  return SerializeQbhCorpus(system.options(), system.CorpusSnapshot(),
-                            system.References());
+  return SerializeQbhCorpus(system.options(), system.CorpusSnapshot());
 }
 
 std::string SerializeQbhCorpus(
-    const QbhOptions& opt, const std::vector<std::optional<Melody>>& slots,
-    const std::vector<Series>& pivots) {
+    const QbhOptions& opt, const std::vector<std::optional<Melody>>& slots) {
   std::string out = "humdex-db v2\n";
   char buf[128];
   out += storage_detail::SerializeOptionLines(opt);
-  // LB_Triangle reference series (DESIGN.md §11). Inside the checksummed
-  // body so a reopened database prunes with exactly the saved references.
-  if (!pivots.empty()) {
-    std::snprintf(buf, sizeof(buf), "option pivots %zu\n", pivots.size());
-    out += buf;
-    for (const Series& p : pivots) {
-      out += "pivot";
-      for (double v : p) {
-        std::snprintf(buf, sizeof(buf), " %.17g", v);
-        out += buf;
-      }
-      out += '\n';
-    }
-  }
 
   std::vector<Melody> corpus;
   std::string id_list;
@@ -522,13 +451,8 @@ Result<QbhSystem> ParseQbhDatabaseSalvage(const std::string& text,
   }
 
   // Lenient header scan: malformed option lines fall back to the default
-  // value instead of failing the load. Pivot lines are collected on the
-  // side; any inconsistency drops the whole block (Build() then re-selects
-  // references, which stays exact) instead of failing the salvage.
+  // value instead of failing the load. Legacy pivot lines are skipped.
   QbhOptions opt;
-  std::optional<std::size_t> pivot_count;
-  std::vector<Series> pivots;
-  bool pivots_ok = true;
   std::optional<std::size_t> salvage_next_id;
   std::optional<std::vector<std::size_t>> salvage_ids;
   bool ids_ok = true;
@@ -537,6 +461,7 @@ Result<QbhSystem> ParseQbhDatabaseSalvage(const std::string& text,
   std::ostringstream rest;
   bool in_header = true;
   while (std::getline(body_in, line)) {
+    if (in_header && IsLegacyPivotLine(line)) continue;
     if (in_header && line.rfind("option ", 0) == 0) {
       std::istringstream fields(line.substr(7));
       std::string key, value;
@@ -559,29 +484,10 @@ Result<QbhSystem> ParseQbhDatabaseSalvage(const std::string& text,
           }
           continue;
         }
-        if (key == "pivots") {
-          std::size_t count = 0;
-          if (ParseSize(value, &count).ok() && count > 0 &&
-              count <= kMaxPivots) {
-            pivot_count = count;
-          } else {
-            pivots_ok = false;
-          }
-          continue;
-        }
         QbhOptions trial = opt;
         if (ApplyOption(key, value, &trial).ok()) opt = trial;
       } else if (key == "next_id" || key == "ids") {
         ids_ok = false;  // id metadata present but valueless: untrustworthy
-      }
-      continue;
-    }
-    if (in_header && line.rfind("pivot ", 0) == 0) {
-      Series p;
-      if (pivots.size() >= kMaxPivots || !ParsePivotLine(line, &p).ok()) {
-        pivots_ok = false;
-      } else {
-        pivots.push_back(std::move(p));
       }
       continue;
     }
@@ -625,8 +531,6 @@ Result<QbhSystem> ParseQbhDatabaseSalvage(const std::string& text,
     }
   }
 
-  // Keep the pivot block only when it is internally consistent and matches
-  // the (possibly defaulted) options; otherwise Build() re-selects.
   DbMeta meta;
   if (ids_ok) {
     std::size_t file_max = total_blocks;  // dense: ids are block indices
@@ -648,16 +552,6 @@ Result<QbhSystem> ParseQbhDatabaseSalvage(const std::string& text,
   }
   local.ids_stable = ids_ok;
   if (report != nullptr) *report = local;
-  if (pivots_ok && pivot_count.has_value() && *pivot_count == pivots.size() &&
-      !pivots.empty()) {
-    for (const Series& p : pivots) {
-      if (p.size() != opt.normal_len) pivots_ok = false;
-    }
-    if (pivots_ok) {
-      meta.pivot_count = pivot_count;
-      meta.pivots = std::move(pivots);
-    }
-  }
   return BuildSystem(opt, std::move(corpus), std::move(meta));
 }
 

@@ -26,16 +26,13 @@
 // A dense corpus (no tombstones) omits both — the bytes are identical to
 // what earlier versions wrote.
 //
-// A system with LB_Triangle references (DESIGN.md §11) persists them so the
-// reopened database prunes with exactly the saved reference set:
+// Files written before the LB_Triangle stages were removed (DESIGN.md §11)
+// may also carry a reference block in the header:
 //
 //   option pivots <count>
 //   pivot <v0> <v1> ... <v_{normal_len-1}>     (one line per reference)
 //
-// The pivot lines live inside the checksummed body; a corrupt pivot block
-// fails with kCorruption (strict load) or is dropped wholesale (salvage —
-// Build() then re-selects references, which stays exact). Files without the
-// block load fine and re-select deterministically.
+// Both loaders skip these lines unread; the writer no longer emits them.
 #pragma once
 
 #include <optional>
@@ -70,11 +67,9 @@ std::string SerializeQbhDatabase(const QbhSystem& system);
 /// Serialize an id-indexed corpus (slot == id, nullopt == tombstone) with
 /// `options`. This is the checkpoint writer's entry point: it takes the raw
 /// slots so QbhSystem::Checkpoint can serialize under its own writer lock
-/// without re-entering locking accessors. `pivots` are the engine's
-/// LB_Triangle reference series (normal forms; empty writes no pivot block).
+/// without re-entering locking accessors.
 std::string SerializeQbhCorpus(const QbhOptions& options,
-                               const std::vector<std::optional<Melody>>& slots,
-                               const std::vector<Series>& pivots = {});
+                               const std::vector<std::optional<Melody>>& slots);
 
 /// Parse a database and return a *built* QbhSystem. Accepts v1 and v2;
 /// a v2 body that fails its checksum is kCorruption.

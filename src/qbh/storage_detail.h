@@ -20,9 +20,6 @@ namespace storage_detail {
 inline constexpr std::size_t kMaxNormalLen = 1 << 20;
 inline constexpr double kMaxSamplesPerBeat = 1e6;
 inline constexpr std::size_t kMaxNextId = 1 << 24;  // bounds the tombstone vector
-// Matches the engine's reference cap: a parsed pivot block that passes these
-// bounds can be handed to SetReferences without tripping its CHECKs.
-inline constexpr std::size_t kMaxPivots = 64;
 
 obs::Counter& CorruptionCounter();
 obs::Counter& SalvagedCounter();
@@ -45,7 +42,7 @@ Status ApplyOption(const std::string& key, const std::string& value,
 /// must fail here with a Status, not abort inside a scheme constructor.
 Status ValidateOptions(const QbhOptions& opt);
 
-/// The v2 option header lines (normal_len .. samples_per_beat, no pivots/ids)
+/// The v2 option header lines (normal_len .. samples_per_beat, no ids)
 /// — also the payload of the v3 OPTIONS section, so both formats validate
 /// configuration through the identical ApplyOption path.
 std::string SerializeOptionLines(const QbhOptions& opt);

@@ -23,7 +23,6 @@ using storage_detail::ApplyOption;
 using storage_detail::Corruption;
 using storage_detail::CorruptionCounter;
 using storage_detail::kMaxNextId;
-using storage_detail::kMaxPivots;
 using storage_detail::SalvagedCounter;
 using storage_detail::ValidateOptions;
 
@@ -36,16 +35,16 @@ constexpr std::size_t kTableStart = 64;
 constexpr std::size_t kEntrySize = 32;
 constexpr std::size_t kMaxSections = 64;
 
-// Section types, in their on-disk order.
+// Section types, in their on-disk order. Types 4, 7 and 8 held the removed
+// LB_Triangle references, Kim meta rows and pivot rows (DESIGN.md §11): the
+// writer no longer emits them, and the readers checksum them in files that
+// still carry them but otherwise ignore them.
 enum SectionType : std::uint32_t {
   kSecOptions = 1,    ///< the v2 `option k v` lines, verbatim
   kSecIds = 2,        ///< u64 n, then n ascending unique u64 ids
   kSecMelodies = 3,   ///< n per-frame-checksummed melody frames
-  kSecPivots = 4,     ///< u32 count, count codec-encoded reference series
   kSecNormals = 5,    ///< n codec-encoded normal forms, id order
   kSecEnvelopes = 6,  ///< n*stride lo doubles, then n*stride hi (zero-copy)
-  kSecMeta = 7,       ///< n CandidateArena::Meta rows (zero-copy)
-  kSecPivotRows = 8,  ///< n pivot rows of (3p+3)&~3 doubles (zero-copy)
   kSecFeatures = 9,   ///< n * feature_dim raw doubles (non-R*-tree backends)
   kSecIndex = 10,     ///< RStarTree::SerializePages blob (R*-tree backend)
   kSecScheme = 11,    ///< u64 rows, u64 cols, fitted coefficients (SVD)
@@ -61,10 +60,6 @@ constexpr std::size_t kMaxDecodedDoubles = std::size_t{1} << 31;
 
 inline std::size_t RowStride(std::size_t len) {
   return (len + 3) & ~static_cast<std::size_t>(3);
-}
-
-inline std::size_t PivotStride(std::size_t dims) {
-  return (3 * dims + 3) & ~static_cast<std::size_t>(3);
 }
 
 void PutU32(std::string* out, std::uint32_t v) {
@@ -359,14 +354,6 @@ std::string SerializeQbhCorpusV3(
     sections.emplace_back(kSecMelodies, std::move(s));
   }
 
-  const std::vector<Series> refs = engine.references();
-  if (!refs.empty()) {
-    std::string s;
-    PutU32(&s, static_cast<std::uint32_t>(refs.size()));
-    for (const Series& r : refs) codec::EncodeSeries(r, &s);
-    sections.emplace_back(kSecPivots, std::move(s));
-  }
-
   // Per-id arena positions, reused by every id-ordered section below.
   std::vector<std::size_t> pos(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -394,29 +381,6 @@ std::string SerializeQbhCorpusV3(
                stride * sizeof(double));
     }
     sections.emplace_back(kSecEnvelopes, std::move(s));
-  }
-
-  {
-    static_assert(sizeof(CandidateArena::Meta) == 32,
-                  "META section layout is 4 doubles per row");
-    std::string s;
-    s.reserve(n * sizeof(CandidateArena::Meta));
-    for (std::size_t i = 0; i < n; ++i) {
-      s.append(reinterpret_cast<const char*>(&arena.meta(pos[i])),
-               sizeof(CandidateArena::Meta));
-    }
-    sections.emplace_back(kSecMeta, std::move(s));
-  }
-
-  if (!refs.empty()) {
-    const std::size_t ps = PivotStride(refs.size());
-    std::string s;
-    s.reserve(n * ps * sizeof(double));
-    for (std::size_t i = 0; i < n; ++i) {
-      s.append(reinterpret_cast<const char*>(arena.pivot_ed(pos[i])),
-               ps * sizeof(double));
-    }
-    sections.emplace_back(kSecPivotRows, std::move(s));
   }
 
   if (opt.index == IndexKind::kRStarTree) {
@@ -507,8 +471,7 @@ Result<QbhSystem> ParseQbhDatabaseV3(std::shared_ptr<MemorySource> source) {
   HUMDEX_RETURN_IF_ERROR(
       ParseSectionTable(in, secs, &next_id, &melody_count));
   for (std::uint32_t t :
-       {kSecOptions, kSecIds, kSecMelodies, kSecNormals, kSecEnvelopes,
-        kSecMeta}) {
+       {kSecOptions, kSecIds, kSecMelodies, kSecNormals, kSecEnvelopes}) {
     if (!secs[t].present) return Corruption("v3 required section missing");
   }
 
@@ -517,9 +480,6 @@ Result<QbhSystem> ParseQbhDatabaseV3(std::shared_ptr<MemorySource> source) {
   opt.format = CheckpointFormat::kV3Binary;
 
   // Section presence must agree with the configuration the options declare.
-  if (secs[kSecPivots].present != secs[kSecPivotRows].present) {
-    return Corruption("v3 pivot sections must appear together");
-  }
   const bool rstar = opt.index == IndexKind::kRStarTree;
   if (secs[kSecIndex].present != rstar ||
       secs[kSecFeatures].present == rstar) {
@@ -599,25 +559,6 @@ Result<QbhSystem> ParseQbhDatabaseV3(std::shared_ptr<MemorySource> source) {
         return Status::OK();
       });
 
-  // PIVOTS: the engine's LB_Triangle references, codec-encoded.
-  std::vector<Series> pivots;
-  if (secs[kSecPivots].present) {
-    Cursor c{secs[kSecPivots].bytes};
-    std::uint32_t count = 0;
-    if (!c.ReadU32(&count) || count == 0 || count > kMaxPivots) {
-      return Corruption("v3 pivot count out of range");
-    }
-    pivots.resize(count);
-    for (Series& p : pivots) {
-      Status st = codec::DecodeSeries(c.in, &c.pos, opt.normal_len, &p);
-      if (!st.ok()) return Corruption(st.message());
-      for (double v : p) {
-        if (!std::isfinite(v)) return Corruption("non-finite v3 pivot value");
-      }
-    }
-    if (!c.done()) return Corruption("trailing bytes in v3 pivot section");
-  }
-
   // NORMALS: the decoded normal forms (the only non-zero-copy bulk data).
   if (n * opt.normal_len > kMaxDecodedDoubles) {
     return Corruption("v3 normal-form payload too large");
@@ -637,8 +578,8 @@ Result<QbhSystem> ParseQbhDatabaseV3(std::shared_ptr<MemorySource> source) {
     if (!c.done()) return Corruption("trailing bytes in v3 normals section");
   }
 
-  // ENVELOPES / META / PIVOTROWS are served zero-copy from the source. Their
-  // offsets are page-aligned (verified above), so the casts are aligned.
+  // ENVELOPES are served zero-copy from the source. The section offset is
+  // page-aligned (verified above), so the cast is aligned.
   const std::size_t stride = RowStride(opt.normal_len);
   if (secs[kSecEnvelopes].length != 2 * n * stride * sizeof(double)) {
     return Corruption("v3 envelope section has the wrong size");
@@ -646,20 +587,6 @@ Result<QbhSystem> ParseQbhDatabaseV3(std::shared_ptr<MemorySource> source) {
   const double* env_lo =
       reinterpret_cast<const double*>(secs[kSecEnvelopes].bytes.data());
   const double* env_hi = env_lo + n * stride;
-  if (secs[kSecMeta].length != n * sizeof(CandidateArena::Meta)) {
-    return Corruption("v3 meta section has the wrong size");
-  }
-  const auto* meta = reinterpret_cast<const CandidateArena::Meta*>(
-      secs[kSecMeta].bytes.data());
-  const double* pivot_rows = nullptr;
-  if (!pivots.empty()) {
-    const std::size_t ps = PivotStride(pivots.size());
-    if (secs[kSecPivotRows].length != n * ps * sizeof(double)) {
-      return Corruption("v3 pivot-row section has the wrong size");
-    }
-    pivot_rows =
-        reinterpret_cast<const double*>(secs[kSecPivotRows].bytes.data());
-  }
 
   // Scheme: data-independent kinds are rebuilt from the options; SVD from
   // its fitted coefficient matrix, which fully determines its behavior.
@@ -691,8 +618,7 @@ Result<QbhSystem> ParseQbhDatabaseV3(std::shared_ptr<MemorySource> source) {
   eopts.index.kind = opt.index;
   eopts.cascade = opt.cascade;
   auto engine = std::make_unique<DtwQueryEngine>(scheme, eopts);
-  engine->AddAllPrebuilt(std::move(normals), ids, std::move(pivots), env_lo,
-                         env_hi, meta, pivot_rows, source);
+  engine->AddAllPrebuilt(std::move(normals), ids, env_lo, env_hi, source);
 
   if (rstar) {
     std::unique_ptr<RStarTree> tree;
@@ -862,27 +788,7 @@ Result<QbhSystem> ParseQbhDatabaseV3Salvage(
     opt.scheme = SchemeKind::kDft;  // SVD cannot fit a 1-melody salvage
   }
 
-  // References: all-or-nothing on the pivot section's own CRC and shape;
-  // a dropped block just means Build() re-selects (still exact).
-  std::vector<Series> pivots;
-  if (secs[kSecPivots].present &&
-      Crc32c(secs[kSecPivots].bytes) == secs[kSecPivots].crc) {
-    Cursor c{secs[kSecPivots].bytes};
-    std::uint32_t pcount = 0;
-    bool ok = c.ReadU32(&pcount) && pcount > 0 && pcount <= kMaxPivots;
-    for (std::uint32_t i = 0; ok && i < pcount; ++i) {
-      Series p;
-      ok = codec::DecodeSeries(c.in, &c.pos, opt.normal_len, &p).ok();
-      for (std::size_t j = 0; ok && j < p.size(); ++j) {
-        ok = std::isfinite(p[j]);
-      }
-      if (ok) pivots.push_back(std::move(p));
-    }
-    if (!ok || !c.done()) pivots.clear();
-  }
-
   QbhSystem system(opt);
-  if (!pivots.empty()) system.SetPendingReferences(std::move(pivots));
   std::uint64_t max_id = 0;
   if (local.ids_stable) {
     for (std::size_t i = 0; i < melodies.size(); ++i) {

@@ -100,22 +100,16 @@ double LbImproved(const Series& x, const Series& y, std::size_t k) {
       std::numeric_limits<double>::infinity()));
 }
 
-double EnvelopeGap(const double* lo_a, const double* hi_a, const double* lo_b,
-                   const double* hi_b, std::size_t n) {
+double EnvelopeGap(const Envelope& a, const Envelope& b) {
+  HUMDEX_CHECK(a.size() == b.size());
   double sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    double dlo = std::fabs(lo_a[i] - lo_b[i]);
-    double dhi = std::fabs(hi_a[i] - hi_b[i]);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    double dlo = std::fabs(a.lower[i] - b.lower[i]);
+    double dhi = std::fabs(a.upper[i] - b.upper[i]);
     double d = std::max(dlo, dhi);
     sum += d * d;
   }
   return std::sqrt(sum);
-}
-
-double EnvelopeGap(const Envelope& a, const Envelope& b) {
-  HUMDEX_CHECK(a.size() == b.size());
-  return EnvelopeGap(a.lower.data(), a.upper.data(), b.lower.data(),
-                     b.upper.data(), a.size());
 }
 
 double LbTriangle(const Series& x, const Envelope& env_ref,

@@ -43,8 +43,9 @@ Series ProjectOntoEnvelope(const Series& x, const Envelope& e);
 /// where H is x projected onto y's k-envelope. Still a lower bound of the
 /// banded LDTW distance, and never smaller than LB_Keogh — the second pass
 /// charges y for the distance it must cover to reach even the closest series
-/// inside the envelope. This is the cascade stage between LB_Keogh and the
-/// exact LDTW verification (DESIGN.md §10).
+/// inside the envelope. A library bound, not a query-cascade stage: its
+/// second pass costs more than the exact lane LDTW it would skip (DESIGN.md
+/// §11).
 double LbImproved(const Series& x, const Series& y, std::size_t k);
 
 /// Squared LB_Improved against a precomputed k-envelope of y, with early
@@ -84,11 +85,7 @@ double SquaredLbImprovedSecondPass(const Series& x, const Series& y,
 /// Envelope sizes must match.
 double EnvelopeGap(const Envelope& a, const Envelope& b);
 
-/// Raw-pointer core of EnvelopeGap, for SoA callers (gemini/candidate_arena).
-double EnvelopeGap(const double* lo_a, const double* hi_a, const double* lo_b,
-                   const double* hi_b, std::size_t n);
-
-/// The reference-point bound LB_Triangle (DESIGN.md §11): with env_ref the
+/// The reference-point bound LB_Triangle: with env_ref the
 /// k-envelope of a reference series r and env_y the k-envelope of y,
 ///
 ///   LB_Triangle(x, y; r) = max(0, d(x, env_ref) - h(env_ref, env_y))
@@ -96,9 +93,10 @@ double EnvelopeGap(const double* lo_a, const double* hi_a, const double* lo_b,
 ///
 /// d(x, env_ref) is one envelope distance per *query*, h(env_ref, env_y) is
 /// precomputable per *data* series, so the per-candidate cost is O(1) per
-/// reference. Never tighter than LB_Keogh — it trades tightness for cost,
-/// pruning before any O(n) per-candidate work. All series/envelope lengths
-/// must match.
+/// reference. Never tighter than LB_Keogh — it trades tightness for cost. A
+/// library bound, not a query-cascade stage: on melody normal forms it
+/// prunes almost nothing LB_Keogh keeps (DESIGN.md §11). All series/envelope
+/// lengths must match.
 double LbTriangle(const Series& x, const Envelope& env_ref,
                   const Envelope& env_y);
 

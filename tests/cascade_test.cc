@@ -1,17 +1,14 @@
-// Exactness oracle for the squared-threshold filter cascade (DESIGN.md §10,
-// §11): for every index backend and feature scheme, range and kNN answers
-// must be bit-identical to a brute-force banded-DTW scan under the FULL
-// POWER SET of stage toggles — Kim × Triangle × Keogh × Improved, sixteen
-// cascades per backend/scheme — and identically under the scalar reference
-// kernels and every SIMD tier the machine can run (whole-query A/B via
-// ScopedKernelOverride). Per-stage counters must account for every index
-// candidate exactly once (pruned by one stage or verified by exact DTW),
-// disabled stages must report zero, and the counters must merge correctly
-// through batch aggregation. Separate tests pin down the value of the
-// LB_Triangle stages: with Keogh off the reference-point bounds strictly
-// reduce exact-DTW calls, and tau-seeding strictly reduces them for
-// optimal kNN (with Keogh on they are dominated — see DESIGN.md §11 — so
-// there the gate is answers-identical, calls no worse).
+// Exactness oracle for the squared-threshold filter cascade (DESIGN.md §10):
+// for every index backend and feature scheme, range and kNN answers must be
+// bit-identical to a brute-force banded-DTW scan with the one optional stage
+// (LB_Keogh, both directions) on and off — and identically under the scalar
+// reference kernels and every SIMD tier the machine can run (whole-query
+// A/B via ScopedKernelOverride). The stage counters must account for every
+// index candidate exactly once (pruned by Keogh or verified by exact DTW),
+// the removed stages' counters must read zero, a disabled Keogh stage must
+// report zero, and the counters must merge correctly through batch
+// aggregation. A separate test pins down the value of the Keogh stage: it
+// strictly reduces exact-DTW calls at identical answers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -92,33 +89,22 @@ void ExpectSameNeighbors(const std::vector<Neighbor>& got,
   }
 }
 
-/// The sixteen cascade configurations: one bit per optional stage. The
-/// corpus-side refine pass rides with the triangle bit here (it shares the
-/// reference set); its independence is covered by RefineRunsWithoutTriangle.
+/// The two cascade configurations: the Keogh stage on or off.
 struct StageMask {
-  bool kim, triangle, keogh, improved;
+  bool keogh;
 };
 
-StageMask MaskFor(int mask) {
-  return {(mask & 1) != 0, (mask & 2) != 0, (mask & 4) != 0, (mask & 8) != 0};
-}
+StageMask MaskFor(int mask) { return {(mask & 1) != 0}; }
 
 std::string MaskName(const StageMask& m) {
-  return std::string("kim=") + (m.kim ? "1" : "0") +
-         " triangle=" + (m.triangle ? "1" : "0") +
-         " keogh=" + (m.keogh ? "1" : "0") +
-         " improved=" + (m.improved ? "1" : "0");
+  return std::string("keogh=") + (m.keogh ? "1" : "0");
 }
 
 QueryEngineOptions OptionsFor(IndexKind kind, const StageMask& m) {
   QueryEngineOptions opts;
   opts.normal_len = kLen;
   opts.index.kind = kind;
-  opts.cascade.kim = m.kim;
-  opts.cascade.triangle = m.triangle;
-  opts.cascade.triangle_refine = m.triangle;
   opts.cascade.keogh = m.keogh;
-  opts.cascade.improved = m.improved;
   return opts;
 }
 
@@ -128,18 +114,18 @@ QueryEngineOptions OptionsFor(IndexKind kind, const StageMask& m) {
 void ExpectStageAccounting(const QueryStats& stats, const StageMask& m,
                            const std::string& what) {
   EXPECT_EQ(stats.exact_dtw_calls, stats.lb_survivors) << what;
-  EXPECT_EQ(stats.kim_pruned + stats.triangle_pruned + stats.refine_pruned +
-                stats.keogh_pruned + stats.improved_pruned +
-                stats.lb_survivors,
-            stats.index_candidates)
+  EXPECT_EQ(stats.keogh_pruned + stats.lb_survivors, stats.index_candidates)
       << what;
-  if (!m.kim) EXPECT_EQ(stats.kim_pruned, 0u) << what;
-  if (!m.triangle) {
-    EXPECT_EQ(stats.triangle_pruned, 0u) << what;
-    EXPECT_EQ(stats.refine_pruned, 0u) << what;
+  // Removed stages (DESIGN.md §11) keep their fields, which always read 0.
+  EXPECT_EQ(stats.kim_pruned + stats.triangle_pruned + stats.refine_pruned +
+                stats.improved_pruned,
+            0u)
+      << what;
+  EXPECT_EQ(stats.triangle_ns + stats.refine_ns + stats.improved_ns, 0u)
+      << what;
+  if (!m.keogh) {
+    EXPECT_EQ(stats.keogh_pruned, 0u) << what;
   }
-  if (!m.keogh) EXPECT_EQ(stats.keogh_pruned, 0u) << what;
-  if (!m.improved) EXPECT_EQ(stats.improved_pruned, 0u) << what;
 }
 
 class CascadeExactnessTest
@@ -150,7 +136,7 @@ TEST_P(CascadeExactnessTest, RangeMatchesBruteForceForEveryStageCombination) {
   std::vector<Series> corpus = RandomWalkNormalForms(200, 21);
   std::vector<Series> queries = NoisyQueries(corpus, 6, 87);
 
-  for (int mask = 0; mask < 16; ++mask) {
+  for (int mask = 0; mask < 2; ++mask) {
     const StageMask m = MaskFor(mask);
     DtwQueryEngine engine(SchemeFor(scheme_name), OptionsFor(kind, m));
     engine.AddAll(corpus);
@@ -188,7 +174,7 @@ TEST_P(CascadeExactnessTest, KnnMatchesBruteForceForEveryStageCombination) {
     }
   }
 
-  for (int mask = 0; mask < 16; ++mask) {
+  for (int mask = 0; mask < 2; ++mask) {
     const StageMask m = MaskFor(mask);
     DtwQueryEngine engine(SchemeFor(scheme_name), OptionsFor(kind, m));
     engine.AddAll(corpus);
@@ -317,149 +303,25 @@ TEST(CascadeStatsTest, BatchAggregationSumsNewCounters) {
   }
   QueryStats aggregate;
   engine.RangeQueryBatch(queries, epsilon, /*threads=*/4, &aggregate);
-  EXPECT_EQ(aggregate.kim_pruned, sum_serial.kim_pruned);
-  EXPECT_EQ(aggregate.triangle_pruned, sum_serial.triangle_pruned);
-  EXPECT_EQ(aggregate.refine_pruned, sum_serial.refine_pruned);
+  EXPECT_EQ(aggregate.index_candidates, sum_serial.index_candidates);
   EXPECT_EQ(aggregate.keogh_pruned, sum_serial.keogh_pruned);
-  EXPECT_EQ(aggregate.improved_pruned, sum_serial.improved_pruned);
   EXPECT_EQ(aggregate.lb_survivors, sum_serial.lb_survivors);
   EXPECT_EQ(aggregate.exact_dtw_calls, sum_serial.exact_dtw_calls);
   EXPECT_EQ(aggregate.results, sum_serial.results);
-  EXPECT_GT(aggregate.improved_ns + aggregate.lb_ns + aggregate.dtw_ns, 0u);
+  EXPECT_GT(aggregate.lb_ns + aggregate.dtw_ns, 0u);
 }
 
-// The corpus-side refine pass is toggled independently of the query-side
-// triangle stage (they share only the reference set): with triangle off and
-// refine on, answers stay exact and only refine claims prunes.
-TEST(CascadeStatsTest, RefineRunsWithoutTriangle) {
-  std::vector<Series> corpus = RandomWalkNormalForms(200, 91);
-  std::vector<Series> queries = NoisyQueries(corpus, 8, 147);
-  QueryEngineOptions opts;
-  opts.normal_len = kLen;
-  opts.cascade.triangle = false;
-  opts.cascade.triangle_refine = true;
-  opts.cascade.triangle_references = 8;
-  DtwQueryEngine engine(MakeNewPaaScheme(kLen, kDim), opts);
-  engine.AddAll(corpus);
-  ASSERT_EQ(engine.references().size(), 8u);
-
-  for (const Series& q : queries) {
-    double epsilon = engine.KnnQuery(q, 5).back().distance;
-    QueryStats stats;
-    std::vector<Neighbor> got = engine.RangeQuery(q, epsilon, &stats);
-    std::vector<Neighbor> want =
-        BruteForceRange(corpus, q, epsilon, engine.band_radius());
-    ExpectSameNeighbors(got, want, "refine-only range");
-    EXPECT_EQ(stats.triangle_pruned, 0u);
-    EXPECT_EQ(stats.kim_pruned + stats.refine_pruned + stats.keogh_pruned +
-                  stats.improved_pruned + stats.lb_survivors,
-              stats.index_candidates);
-  }
-}
-
-// The headline claim of DESIGN.md §11: with the Keogh stages off, the O(P)
-// reference-point bounds strictly reduce exact-DTW calls versus a Kim-only
-// cascade — at identical answers. (With Keogh on they are dominated and can
-// only shed O(n) work, which the ablation bench measures instead.)
-TEST(CascadeStatsTest, TriangleStrictlyReducesDtwCallsWhenKeoghIsOff) {
-  std::vector<Series> corpus = RandomWalkNormalForms(300, 101);
-  std::vector<Series> queries = NoisyQueries(corpus, 12, 157);
-
-  auto run = [&](bool triangle, QueryStats* total) {
-    QueryEngineOptions opts;
-    opts.normal_len = kLen;
-    opts.cascade.kim = true;
-    opts.cascade.triangle = triangle;
-    opts.cascade.triangle_refine = triangle;
-    opts.cascade.triangle_references = 8;
-    opts.cascade.keogh = false;
-    opts.cascade.improved = false;
-    DtwQueryEngine engine(MakeNewPaaScheme(kLen, kDim), opts);
-    engine.AddAll(corpus);
-    std::vector<std::vector<Neighbor>> out;
-    for (const Series& q : queries) {
-      double epsilon = engine.KnnQuery(q, 3).back().distance;
-      QueryStats s;
-      out.push_back(engine.RangeQuery(q, epsilon, &s));
-      *total += s;
-    }
-    return out;
-  };
-
-  QueryStats without, with;
-  auto results_without = run(false, &without);
-  auto results_with = run(true, &with);
-  ASSERT_EQ(results_without.size(), results_with.size());
-  for (std::size_t i = 0; i < results_without.size(); ++i) {
-    ExpectSameNeighbors(results_with[i], results_without[i],
-                        "triangle ablation");
-  }
-  EXPECT_GT(with.triangle_pruned + with.refine_pruned, 0u)
-      << "reference bounds pruned nothing on a workload built for them";
-  EXPECT_LT(with.exact_dtw_calls, without.exact_dtw_calls);
-}
-
-// Tau-seeding (the ED-through-reference upper bound) must strictly reduce
-// exact-DTW calls for kNN at identical answers. Tau binds only when some
-// reference lies near the query — exactly the query-by-humming workload,
-// where a hum is a noisy rendition of a corpus melody — so the test plants
-// references among the melodies its queries are renditions of, and uses a
-// coarse feature scheme so the index's candidate ordering alone cannot make
-// every unconditional heap-fill DTW a useful one.
-TEST(CascadeStatsTest, TauSeedingStrictlyReducesKnnDtwCalls) {
-  std::vector<Series> corpus = RandomWalkNormalForms(300, 111);
-  Rng rng(167);
-  std::vector<Series> queries;
-  std::vector<Series> refs;
-  for (std::size_t i = 0; i < 12; ++i) {
-    Series q = corpus[i];
-    for (double& x : q) x += rng.Uniform(-0.2, 0.2);
-    queries.push_back(NormalForm(q, kLen));
-  }
-  for (std::size_t i = 0; i < 8; ++i) refs.push_back(corpus[i]);
-
-  auto run = [&](bool with_refs, QueryStats* opt_total,
-                 QueryStats* two_step_total) {
-    QueryEngineOptions opts;
-    opts.normal_len = kLen;
-    if (!with_refs) opts.cascade.triangle_references = 0;
-    DtwQueryEngine engine(MakeDftScheme(kLen, 4), opts);
-    if (with_refs) engine.SetReferences(refs);
-    engine.AddAll(corpus);
-    std::vector<std::vector<Neighbor>> out;
-    for (const Series& q : queries) {
-      QueryStats s_opt, s_two;
-      out.push_back(engine.KnnQueryOptimal(q, 5, &s_opt));
-      out.push_back(engine.KnnQuery(q, 5, &s_two));
-      *opt_total += s_opt;
-      *two_step_total += s_two;
-    }
-    return out;
-  };
-
-  QueryStats opt_without, two_without, opt_with, two_with;
-  auto results_without = run(false, &opt_without, &two_without);
-  auto results_with = run(true, &opt_with, &two_with);
-  ASSERT_EQ(results_without.size(), results_with.size());
-  for (std::size_t i = 0; i < results_without.size(); ++i) {
-    ExpectSameNeighbors(results_with[i], results_without[i], "tau ablation");
-  }
-  EXPECT_LT(opt_with.exact_dtw_calls, opt_without.exact_dtw_calls);
-  EXPECT_LT(two_with.exact_dtw_calls, two_without.exact_dtw_calls);
-}
-
-// Disabling a stage can only shift work to later stages, never change the
-// answer; enabling Kim + Improved must strictly reduce exact-DTW calls on a
-// workload where the filter has anything to do at all.
+// Disabling the Keogh stage can only shift work onto exact DTW, never change
+// the answer; enabling it must strictly reduce exact-DTW calls on a workload
+// where the filter has anything to do at all.
 TEST(CascadeStatsTest, StagesReduceExactDtwCallsWithoutChangingAnswers) {
   std::vector<Series> corpus = RandomWalkNormalForms(300, 81);
   std::vector<Series> queries = NoisyQueries(corpus, 16, 137);
 
-  auto run = [&](bool kim, bool improved, QueryStats* total) {
+  auto run = [&](bool keogh, QueryStats* total) {
     QueryEngineOptions opts;
     opts.normal_len = kLen;
-    opts.cascade.kim = kim;
-    opts.cascade.improved = improved;
+    opts.cascade.keogh = keogh;
     DtwQueryEngine engine(MakeNewPaaScheme(kLen, kDim), opts);
     engine.AddAll(corpus);
     std::vector<std::vector<Neighbor>> out;
@@ -473,15 +335,15 @@ TEST(CascadeStatsTest, StagesReduceExactDtwCallsWithoutChangingAnswers) {
   };
 
   QueryStats off, on;
-  auto results_off = run(false, false, &off);
-  auto results_on = run(true, true, &on);
+  auto results_off = run(false, &off);
+  auto results_on = run(true, &on);
   ASSERT_EQ(results_off.size(), results_on.size());
   for (std::size_t i = 0; i < results_off.size(); ++i) {
     ExpectSameNeighbors(results_on[i], results_off[i], "stage ablation");
   }
   EXPECT_LT(on.exact_dtw_calls, off.exact_dtw_calls)
-      << "Kim+Improved pruned nothing on a workload built to exercise them";
-  EXPECT_GT(on.kim_pruned + on.improved_pruned, 0u);
+      << "Keogh pruned nothing on a workload built to exercise it";
+  EXPECT_GT(on.keogh_pruned, 0u);
 }
 
 }  // namespace

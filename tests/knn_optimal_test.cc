@@ -129,6 +129,56 @@ TEST(KnnOptimalTest, ExactAgainstBruteForce) {
   }
 }
 
+// Exact distance ties: every series is stored three times under shuffled
+// ids, so each distance occurs at least three times and most k-th neighbors
+// tie with candidates outside the answer. Both kNN algorithms must return
+// the brute-force answer exactly — among equal distances the smaller ids,
+// in (distance, id) order.
+TEST(KnnOptimalTest, DuplicateCorpusTiesMatchBruteForce) {
+  Rng rng(5);
+  std::vector<Series> walks;
+  for (int i = 0; i < 60; ++i) walks.push_back(RandomWalk(&rng, 128));
+  std::vector<std::int64_t> ids(3 * walks.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ids[i] = static_cast<std::int64_t>(i);
+  }
+  for (std::size_t i = ids.size() - 1; i > 0; --i) {
+    std::swap(ids[i], ids[rng.NextBounded(static_cast<std::uint32_t>(i + 1))]);
+  }
+  std::vector<Series> corpus;  // corpus[i] is stored under ids[i]
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    corpus.push_back(walks[i % walks.size()]);
+  }
+  DtwQueryEngine engine(MakeNewPaaScheme(128, 8), QueryEngineOptions());
+  engine.AddAll(corpus, ids);
+  const std::size_t band = engine.band_radius();
+
+  for (int q = 0; q < 40; ++q) {
+    // Half the queries are stored walks, half fresh ones.
+    Series query = q % 2 == 0 ? walks[static_cast<std::size_t>(q)]
+                              : RandomWalk(&rng, 128);
+    std::vector<Neighbor> all;
+    for (std::size_t i = 0; i < corpus.size(); ++i) {
+      all.push_back({ids[i], LdtwDistance(query, corpus[i], band)});
+    }
+    std::sort(all.begin(), all.end());
+    for (std::size_t k : {1u, 2u, 4u, 5u, 7u}) {
+      const std::vector<Neighbor> want(all.begin(), all.begin() + k);
+      for (bool optimal : {false, true}) {
+        std::vector<Neighbor> got = optimal ? engine.KnnQueryOptimal(query, k)
+                                            : engine.KnnQuery(query, k);
+        ASSERT_EQ(got.size(), k);
+        for (std::size_t i = 0; i < k; ++i) {
+          EXPECT_EQ(got[i].id, want[i].id)
+              << (optimal ? "optimal" : "two-step") << " q=" << q
+              << " k=" << k << " at " << i;
+          EXPECT_EQ(got[i].distance, want[i].distance);
+        }
+      }
+    }
+  }
+}
+
 TEST(KnnOptimalTest, EdgeCases) {
   QueryEngineOptions opts;
   DtwQueryEngine engine(MakeNewPaaScheme(128, 8), opts);

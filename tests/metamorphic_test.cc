@@ -178,46 +178,6 @@ TEST(MetamorphicTest, TriangleBoundInvariantUnderTimeReversal) {
   }
 }
 
-// The reference set is a pure accelerator: answers must not depend on which
-// references the engine prunes with, or whether it has any at all.
-TEST(MetamorphicTest, ReferenceSetIrrelevantToAnswers) {
-  Rng rng(23);
-  std::vector<Series> corpus;
-  for (int i = 0; i < 200; ++i) corpus.push_back(RandomWalk(&rng, 128));
-
-  auto make = [&](std::size_t references) {
-    QueryEngineOptions opts;
-    opts.cascade.triangle_references = references;
-    auto engine =
-        std::make_unique<DtwQueryEngine>(MakeNewPaaScheme(128, 8), opts);
-    engine->AddAll(corpus);
-    return engine;
-  };
-  auto none = make(0);
-  auto few = make(2);
-  auto many = make(16);
-
-  for (int q = 0; q < 8; ++q) {
-    Series query = RandomWalk(&rng, 128);
-    auto a = none->RangeQuery(query, 9.0);
-    for (auto* engine : {few.get(), many.get()}) {
-      auto b = engine->RangeQuery(query, 9.0);
-      ASSERT_EQ(a.size(), b.size());
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].id, b[i].id);
-        EXPECT_EQ(a[i].distance, b[i].distance);
-      }
-      auto ka = none->KnnQueryOptimal(query, 5);
-      auto kb = engine->KnnQueryOptimal(query, 5);
-      ASSERT_EQ(ka.size(), kb.size());
-      for (std::size_t i = 0; i < ka.size(); ++i) {
-        EXPECT_EQ(ka[i].id, kb[i].id);
-        EXPECT_EQ(ka[i].distance, kb[i].distance);
-      }
-    }
-  }
-}
-
 TEST(MetamorphicTest, UniformTempoChangeOfQueryIsAbsorbedByNormalForm) {
   Rng rng(13);
   std::vector<Series> corpus;

@@ -312,91 +312,6 @@ TEST(RecoveryTest, CheckpointTruncatesLogAndPreservesState) {
   ExpectSameAnswers(live, reopened.value(), {corpus[0], corpus[24]});
 }
 
-// DESIGN.md §11: a checkpoint carries the engine's LB_Triangle reference
-// series, and Open must prune with exactly the saved set — not a re-selected
-// one — so answers and pruning behavior are reproducible across restarts.
-TEST(RecoveryTest, CheckpointRoundTripsTriangleReferences) {
-  FaultInjectingEnv env;
-  const std::string path = TempPath("recovery_pivots.db");
-  CleanDb(&env, path);
-  auto corpus = SmallCorpus(25);
-
-  QbhSystem live = BuildSystem(corpus);
-  std::vector<Series> refs = live.References();
-  ASSERT_FALSE(refs.empty());  // auto-selected at Build
-  ASSERT_TRUE(live.Attach(path, &env).ok());
-
-  auto reopened = QbhSystem::Open(path, &env);
-  ASSERT_TRUE(reopened.ok());
-  std::vector<Series> reopened_refs = reopened.value().References();
-  ASSERT_EQ(reopened_refs.size(), refs.size());
-  for (std::size_t i = 0; i < refs.size(); ++i) {
-    ASSERT_EQ(reopened_refs[i].size(), refs[i].size());
-    for (std::size_t j = 0; j < refs[i].size(); ++j) {
-      EXPECT_EQ(reopened_refs[i][j], refs[i][j]) << "ref " << i << "[" << j
-                                                 << "]";
-    }
-  }
-  ExpectSameAnswers(live, reopened.value(), {corpus[0], corpus[12]});
-
-  // Salvage keeps a healthy pivot block too.
-  std::string text;
-  ASSERT_TRUE(env.ReadFile(path, &text).ok());
-  SalvageReport report;
-  auto salvaged = ParseQbhDatabaseSalvage(text, &report);
-  ASSERT_TRUE(salvaged.ok());
-  EXPECT_TRUE(report.crc_ok);
-  EXPECT_EQ(salvaged.value().References().size(), refs.size());
-}
-
-// Insert/Remove/WAL-replay must keep the reference-point stages exact: a
-// recovered system (checkpoint references + replayed mutations, pivot rows
-// recomputed during replay) answers bit-identically to the live mutated
-// system and to a fresh build of the same final corpus.
-TEST(RecoveryTest, WalReplayKeepsTrianglePruningExact) {
-  FaultInjectingEnv env;
-  const std::string path = TempPath("recovery_pivot_replay.db");
-  CleanDb(&env, path);
-  auto corpus = SmallCorpus(25);
-  auto extras = SmallCorpus(6, 432);
-
-  QbhSystem live = BuildSystem(corpus);
-  ASSERT_TRUE(live.Attach(path, &env).ok());
-  for (const Melody& m : extras) ASSERT_TRUE(live.Insert(m).ok());
-  ASSERT_TRUE(live.Remove(2).ok());
-  ASSERT_TRUE(live.Remove(27).ok());
-  // No Checkpoint: the inserts and removes live only in the log, so the
-  // reopened system must rebuild their pivot rows during replay.
-
-  auto reopened = QbhSystem::Open(path, &env);
-  ASSERT_TRUE(reopened.ok());
-  ASSERT_FALSE(reopened.value().References().empty());
-  ExpectSameAnswers(live, reopened.value(),
-                    {corpus[0], corpus[2], extras[0], extras[5]});
-
-  // And both agree with a from-scratch build of the final corpus (which
-  // re-selects its own references — the answers must not care).
-  std::vector<Melody> final_corpus;
-  for (std::size_t i = 0; i < corpus.size(); ++i) {
-    if (i != 2) final_corpus.push_back(corpus[i]);
-  }
-  for (std::size_t i = 0; i < extras.size(); ++i) {
-    if (i != 27 - 25) final_corpus.push_back(extras[i]);
-  }
-  QbhSystem fresh = BuildSystem(final_corpus);
-  Hummer hummer(HummerProfile::Good(), 99);
-  for (const Melody& target : {corpus[0], extras[0]}) {
-    Series hum = hummer.Hum(target);
-    auto ra = reopened.value().Query(hum, 5);
-    auto rb = fresh.Query(hum, 5);
-    ASSERT_EQ(ra.size(), rb.size());
-    for (std::size_t i = 0; i < ra.size(); ++i) {
-      EXPECT_EQ(ra[i].name, rb[i].name);
-      EXPECT_EQ(ra[i].distance, rb[i].distance);
-    }
-  }
-}
-
 TEST(RecoveryTest, TornAppendRecoversPreRecordState) {
   // Crash the append at every prefix length of the frame. Recovery must see
   // exactly the pre-record corpus (record torn) or the post-record corpus

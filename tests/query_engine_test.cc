@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string_view>
 
 #include "gemini/query_engine.h"
 #include "ts/dtw.h"
@@ -20,24 +21,20 @@ Series RandomWalk(Rng* rng, std::size_t n) {
   return x;
 }
 
+// The parameter holds no pointers: gtest prints the parameter's bytes into
+// every test name, and pointer bytes change from build to build.
 struct EngineCase {
-  const char* name;
-  std::shared_ptr<FeatureScheme> (*make)(const std::vector<Series>& corpus);
+  char name[16];  // "<scheme>_<index>"; the scheme prefix picks the factory
   IndexKind index;
-};
 
-std::shared_ptr<FeatureScheme> NewPaa(const std::vector<Series>&) {
-  return MakeNewPaaScheme(128, 8);
-}
-std::shared_ptr<FeatureScheme> KeoghPaa(const std::vector<Series>&) {
-  return MakeKeoghPaaScheme(128, 8);
-}
-std::shared_ptr<FeatureScheme> Dft(const std::vector<Series>&) {
-  return MakeDftScheme(128, 8);
-}
-std::shared_ptr<FeatureScheme> Svd(const std::vector<Series>& corpus) {
-  return MakeSvdScheme(corpus, 8);
-}
+  std::shared_ptr<FeatureScheme> make(const std::vector<Series>& corpus) const {
+    const std::string_view n = name;
+    if (n.starts_with("new_paa")) return MakeNewPaaScheme(128, 8);
+    if (n.starts_with("keogh_paa")) return MakeKeoghPaaScheme(128, 8);
+    if (n.starts_with("dft")) return MakeDftScheme(128, 8);
+    return MakeSvdScheme(corpus, 8);
+  }
+};
 
 class QueryEngineSchemeTest : public ::testing::TestWithParam<EngineCase> {};
 
@@ -121,12 +118,12 @@ TEST_P(QueryEngineSchemeTest, KnnQueryExactVsBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(
     Schemes, QueryEngineSchemeTest,
-    ::testing::Values(EngineCase{"new_paa_rstar", NewPaa, IndexKind::kRStarTree},
-                      EngineCase{"keogh_paa_rstar", KeoghPaa, IndexKind::kRStarTree},
-                      EngineCase{"dft_rstar", Dft, IndexKind::kRStarTree},
-                      EngineCase{"svd_rstar", Svd, IndexKind::kRStarTree},
-                      EngineCase{"new_paa_grid", NewPaa, IndexKind::kGridFile},
-                      EngineCase{"new_paa_linear", NewPaa, IndexKind::kLinearScan}),
+    ::testing::Values(EngineCase{"new_paa_rstar", IndexKind::kRStarTree},
+                      EngineCase{"keogh_paa_rstar", IndexKind::kRStarTree},
+                      EngineCase{"dft_rstar", IndexKind::kRStarTree},
+                      EngineCase{"svd_rstar", IndexKind::kRStarTree},
+                      EngineCase{"new_paa_grid", IndexKind::kGridFile},
+                      EngineCase{"new_paa_linear", IndexKind::kLinearScan}),
     [](const ::testing::TestParamInfo<EngineCase>& info) { return info.param.name; });
 
 TEST(QueryEngineTest, NewPaaRetrievesFewerCandidatesThanKeogh) {

@@ -83,7 +83,7 @@ void ExpectSameAnswers(const QbhSystem& a, const QbhSystem& b,
     for (std::size_t i = 0; i < ma.size(); ++i) {
       EXPECT_EQ(ma[i].id, mb[i].id) << "hum " << q << " rank " << i;
       // Bit-identical, not approximately equal: the mapped corpus serves the
-      // same envelopes/meta/features the builder computed.
+      // same envelopes and features the builder computed.
       EXPECT_EQ(ma[i].distance, mb[i].distance) << "hum " << q << " rank " << i;
     }
     if (!ma.empty()) {

@@ -149,29 +149,22 @@ TEST_F(TracedQueryTest, RangeQueryCascadeTrace) {
 #if HUMDEX_TRACING_ENABLED
   const TraceSpan* root = trace.Find("query.range");
   const TraceSpan* index = trace.Find("query.range.index_probe");
-  const TraceSpan* lb = trace.Find("query.range.lb_kim");
-  const TraceSpan* tri = trace.Find("query.range.lb_triangle");
-  const TraceSpan* improved = trace.Find("query.range.lb_improved");
+  const TraceSpan* lb = trace.Find("query.range.lb_keogh");
   const TraceSpan* dtw = trace.Find("query.range.exact_dtw");
   ASSERT_NE(root, nullptr);
   ASSERT_NE(index, nullptr);
   ASSERT_NE(lb, nullptr);
-  ASSERT_NE(tri, nullptr);  // references auto-selected at bulk build
-  ASSERT_NE(improved, nullptr);
   ASSERT_NE(dtw, nullptr);
 
   // Stage durations populated and nested under the root span.
   EXPECT_GT(index->duration_ns, 0u);
   EXPECT_EQ(index->parent, 0);
   EXPECT_EQ(lb->parent, 0);
-  EXPECT_EQ(tri->parent, 0);
   EXPECT_EQ(dtw->parent, 0);
   // Monotone stage order and containment in the root.
   EXPECT_LE(index->start_ns + index->duration_ns, lb->start_ns);
-  EXPECT_LE(lb->start_ns + lb->duration_ns, tri->start_ns);
-  EXPECT_LE(tri->start_ns + tri->duration_ns, dtw->start_ns);
-  EXPECT_LE(index->duration_ns + lb->duration_ns + tri->duration_ns +
-                dtw->duration_ns,
+  EXPECT_LE(lb->start_ns + lb->duration_ns, dtw->start_ns);
+  EXPECT_LE(index->duration_ns + lb->duration_ns + dtw->duration_ns,
             root->duration_ns);
 
   // Candidate counts carried on the spans match QueryStats exactly.
@@ -179,9 +172,8 @@ TEST_F(TracedQueryTest, RangeQueryCascadeTrace) {
             static_cast<double>(stats.index_candidates));
   EXPECT_EQ(index->Attribute("page_accesses"),
             static_cast<double>(stats.page_accesses));
-  EXPECT_EQ(tri->Attribute("pruned"),
-            static_cast<double>(stats.triangle_pruned));
-  EXPECT_EQ(improved->Attribute("survivors"),
+  EXPECT_EQ(lb->Attribute("pruned"), static_cast<double>(stats.keogh_pruned));
+  EXPECT_EQ(lb->Attribute("survivors"),
             static_cast<double>(stats.lb_survivors));
   EXPECT_EQ(dtw->Attribute("dtw_calls"),
             static_cast<double>(stats.exact_dtw_calls));
