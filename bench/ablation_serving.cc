@@ -8,7 +8,8 @@
 //     the unsharded ranking with that shard's melodies removed.
 //
 // Performance: saturation throughput and per-query latency versus shard
-// count, driven through QueryBatch. The throughput-scaling gate (more shards
+// count, driven through QueryBatch, with the exact DTW calls per query beside
+// it (printed only). The throughput-scaling gate (more shards
 // on a healthy engine must not get slower) only arms on multi-core hosts —
 // on one core every shard count measures the same serial work plus
 // scheduling overhead, and the numbers are reported but not judged.
@@ -63,8 +64,13 @@ int Run() {
   // Unsharded reference: answers and single-thread batch time.
   std::vector<std::vector<QbhMatch>> reference;
   reference.reserve(hums.size());
+  QueryStats base_stats;
   auto start = std::chrono::steady_clock::now();
-  for (const Series& hum : hums) reference.push_back(single.Query(hum, kTopK));
+  for (const Series& hum : hums) {
+    QueryStats stats;
+    reference.push_back(single.Query(hum, kTopK, &stats));
+    base_stats += stats;
+  }
   auto stop = std::chrono::steady_clock::now();
   const double base_seconds =
       std::chrono::duration<double>(stop - start).count();
@@ -73,10 +79,15 @@ int Run() {
   obs::Gauge& qps_gauge =
       obs::MetricsRegistry::Default().GetGauge("bench.serving.qps");
 
-  Table table({"shards", "batch sec", "queries/s", "vs unsharded", "partial-ok",
-               "identical"});
+  auto dtw_per_query = [&](const QueryStats& stats) {
+    return Table::Num(static_cast<double>(stats.exact_dtw_calls) /
+                          static_cast<double>(kQueries),
+                      1);
+  };
+  Table table({"shards", "batch sec", "queries/s", "vs unsharded",
+               "DTW/query", "partial-ok", "identical"});
   table.AddRow({"none", Table::Num(base_seconds, 3), Table::Num(base_qps, 1),
-                Table::Num(1.0, 2), "-", "-"});
+                Table::Num(1.0, 2), dtw_per_query(base_stats), "-", "-"});
 
   bool all_identical = true;
   bool all_partial_ok = true;
@@ -137,9 +148,11 @@ int Run() {
     auto healthy = serve::ShardedEngine::Create(corpus, opts);
     if (!healthy.ok()) return 1;
     double best_seconds = 0.0;
+    QueryStats batch_stats;  // identical every round: counts are exact
     for (std::size_t round = 0; round < kRounds; ++round) {
       auto t0 = std::chrono::steady_clock::now();
-      auto results = healthy.value()->QueryBatch(hums, kTopK);
+      auto results = healthy.value()->QueryBatch(hums, kTopK, QueryOptions(),
+                                                 &batch_stats);
       auto t1 = std::chrono::steady_clock::now();
       const double seconds = std::chrono::duration<double>(t1 - t0).count();
       if (round == 0 || seconds < best_seconds) best_seconds = seconds;
@@ -156,6 +169,7 @@ int Run() {
 
     table.AddRow({Table::Int(shards), Table::Num(best_seconds, 3),
                   Table::Num(qps, 1), Table::Num(qps / base_qps, 2),
+                  dtw_per_query(batch_stats),
                   shards > 1 ? (all_partial_ok ? "yes" : "NO") : "-",
                   identical ? "yes" : "NO"});
   }

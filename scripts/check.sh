@@ -86,14 +86,22 @@ ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
   -R 'Chaos|ShardedEngine|ShardedDurability|ShardRecovery|Replication|Protocol|HumdexServer'
 ./build-asan/examples/humdexd --once --shards=3 --corpus=120
 ./build-asan/examples/humdexd --once --shards=3 --replicas=2 --corpus=120
+# The two ablation gates below both run even when the first one fails, so
+# one red gate never hides the other's verdict; the stage fails if either
+# did.
+gates_failed=0
 # Serving ablation gate: exits non-zero when any healthy-path sharded answer
 # diverges from the unsharded engine or the scaling check fails (the scaling
 # half only arms on multi-core hosts).
-./build-asan/bench/ablation_serving
+./build-asan/bench/ablation_serving || gates_failed=1
 # Replication ablation gate: exits non-zero when answers with R-1 replicas
 # of every group dead diverge from the unsharded engine, when a snapshot
 # ship fails to reconverge a destroyed replica digest-identical, or when
 # forced-failover latency blows its bound.
-./build-asan/bench/ablation_replication
+./build-asan/bench/ablation_replication || gates_failed=1
+if [ "$gates_failed" -ne 0 ]; then
+  echo "Stage 5 failed: an ablation gate exited non-zero (see above)." >&2
+  exit 1
+fi
 
 echo "All checks passed."

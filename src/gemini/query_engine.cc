@@ -399,82 +399,30 @@ std::vector<Neighbor> DtwQueryEngine::KnnQuery(const Series& query, std::size_t 
                                                const QueryOptions& qopts,
                                                QueryStats* stats) const {
   HUMDEX_CHECK(query.size() == options_.normal_len);
-  QueryStats local;
-  StopGuard guard(qopts);
-  if (data_.empty() || k == 0 || guard.Stopped(&local)) {
-    if (stats != nullptr) *stats = local;
+  if (data_.empty() || k == 0) {
+    if (stats != nullptr) *stats = QueryStats();
     return {};
   }
-  k = std::min(k, data_.size());
   HUMDEX_SPAN(query_span, "query.knn");
   const std::uint64_t t_start = obs::MonotonicNowNs();
 
-  // Step 1: heuristic seed — exact DTW of the k nearest feature vectors
-  // yields a valid upper bound radius for the true kNN distance. The exact
-  // seed distances are kept so an expiry mid-seed still has something exact
-  // to return.
+  // Step 1 seeds the radius: the largest exact distance among the k
+  // feature-nearest ids bounds the true kth distance from above.
+  QueryStats local;
+  std::vector<Neighbor> out = KnnSeeds(query, k, qopts, &local);
   double radius = 0.0;
-  std::vector<Neighbor> seed_exact;
-  {
-    HUMDEX_SPAN(span, "query.knn.seed");
-    IndexStats istats;
-    std::vector<Neighbor> seeds =
-        feature_index_.NearestFeatures(query, k, &istats);
-    local.page_accesses += istats.page_accesses;
-    seed_exact.reserve(seeds.size());
-    VerifyExact(
-        query, seeds.size(),
-        [&](std::size_t i) {
-          const std::size_t pos = PosForId(seeds[i].id);
-          HUMDEX_CHECK(pos != SIZE_MAX);
-          return arena_.series(pos);
-        },
-        band_k_, kInfiniteDistance, guard, &local,
-        [&](std::size_t i, double d_sq) {
-          double d = std::sqrt(d_sq);
-          seed_exact.push_back({seeds[i].id, d});
-          radius = std::max(radius, d);
-        });
-    if (!std::isfinite(radius)) {
-      // Degenerate: no path in band for seeds (cannot happen for equal-length
-      // normal forms, but keep the fallback total).
-      radius = kInfiniteDistance;
-    }
-    HUMDEX_SPAN_ATTR(span, "k", static_cast<double>(k));
-    HUMDEX_SPAN_ATTR(span, "radius", radius);
-  }
-  const std::uint64_t t_seed = obs::MonotonicNowNs();
+  for (const Neighbor& s : out) radius = std::max(radius, s.distance);
+  HUMDEX_SPAN_ATTR(query_span, "radius", radius);
 
-  std::vector<Neighbor> in_range;
-  if (!guard.stopped()) {
-    // Step 2: one guaranteed-superset range query, then rank exactly. The
-    // seed ids already have exact distances in hand, so the cascade skips
-    // them instead of re-filtering and re-verifying each one.
-    std::vector<std::int64_t> skip;
-    skip.reserve(seed_exact.size());
-    for (const Neighbor& s : seed_exact) skip.push_back(s.id);
-    std::sort(skip.begin(), skip.end());
-    QueryStats range_stats;
-    in_range = RangeQueryImpl(query, radius, qopts, &range_stats, &skip);
-    local.index_candidates = range_stats.index_candidates;
-    local.keogh_pruned = range_stats.keogh_pruned;
-    local.lb_survivors = range_stats.lb_survivors;
-    local.page_accesses += range_stats.page_accesses;
-    local.exact_dtw_calls += range_stats.exact_dtw_calls;
-    local.truncated = local.truncated || range_stats.truncated;
-    // The seed stage is exact-DTW-dominated; bill it to the DTW stage.
-    local.index_ns = range_stats.index_ns;
-    local.lb_ns = range_stats.lb_ns;
-    local.dtw_ns = range_stats.dtw_ns + (t_seed - t_start);
+  if (local.truncated) {
+    // Expiry mid-seed: the seeds verified so far are exact; return those.
+    std::sort(out.begin(), out.end());
+  } else {
+    QueryStats finish;
+    out = KnnFinish(query, k, radius, std::move(out), qopts, &finish);
+    local += finish;
   }
-
-  // Merge the exact seed distances back in: every seed distance is <= radius
-  // by construction, and the skip list keeps the range results disjoint from
-  // the seed set (all distances exact either way).
-  for (const Neighbor& s : seed_exact) in_range.push_back(s);
-  std::sort(in_range.begin(), in_range.end());
-  if (in_range.size() > k) in_range.resize(k);
-  local.results = in_range.size();
+  local.results = out.size();
   local.total_ns = obs::MonotonicNowNs() - t_start;
   HUMDEX_SPAN_ATTR(query_span, "truncated", local.truncated ? 1.0 : 0.0);
 
@@ -483,7 +431,84 @@ std::vector<Neighbor> DtwQueryEngine::KnnQuery(const Series& query, std::size_t 
   h_total.Record(local.total_ns);
 
   if (stats != nullptr) *stats = local;
-  return in_range;
+  return out;
+}
+
+std::vector<Neighbor> DtwQueryEngine::KnnSeeds(const Series& query,
+                                               std::size_t k,
+                                               const QueryOptions& qopts,
+                                               QueryStats* stats) const {
+  HUMDEX_CHECK(query.size() == options_.normal_len);
+  QueryStats local;
+  StopGuard guard(qopts);
+  std::vector<Neighbor> seeds;
+  if (data_.empty() || k == 0 || guard.Stopped(&local)) {
+    if (stats != nullptr) *stats = local;
+    return seeds;
+  }
+  k = std::min(k, data_.size());
+  HUMDEX_SPAN(span, "query.knn.seed");
+  const std::uint64_t t_start = obs::MonotonicNowNs();
+  IndexStats istats;
+  const std::vector<Neighbor> nearest =
+      feature_index_.NearestFeatures(query, k, &istats);
+  local.page_accesses = istats.page_accesses;
+  // No abandon threshold: every seed distance is exact, so an expiry
+  // mid-seed still leaves exact answers behind.
+  seeds.reserve(nearest.size());
+  VerifyExact(
+      query, nearest.size(),
+      [&](std::size_t i) {
+        const std::size_t pos = PosForId(nearest[i].id);
+        HUMDEX_CHECK(pos != SIZE_MAX);
+        return arena_.series(pos);
+      },
+      band_k_, kInfiniteDistance, guard, &local,
+      [&](std::size_t i, double d_sq) {
+        seeds.push_back({nearest[i].id, std::sqrt(d_sq)});
+      });
+  // The seed stage is exact-DTW-dominated; bill it to the DTW stage.
+  local.dtw_ns = obs::MonotonicNowNs() - t_start;
+  local.total_ns = local.dtw_ns;
+  HUMDEX_SPAN_ATTR(span, "k", static_cast<double>(k));
+  if (stats != nullptr) *stats = local;
+  return seeds;
+}
+
+std::vector<Neighbor> DtwQueryEngine::KnnFinish(const Series& query,
+                                                std::size_t k, double radius,
+                                                std::vector<Neighbor> seeds,
+                                                const QueryOptions& qopts,
+                                                QueryStats* stats) const {
+  HUMDEX_CHECK(query.size() == options_.normal_len);
+  if (data_.empty() || k == 0) {
+    if (stats != nullptr) *stats = QueryStats();
+    return {};
+  }
+  // Seeds may come from an earlier moment or a peer replica: one removed
+  // since then has no row to skip and no name to report, so it drops out.
+  seeds.erase(std::remove_if(seeds.begin(), seeds.end(),
+                             [this](const Neighbor& s) {
+                               return PosForId(s.id) == SIZE_MAX;
+                             }),
+              seeds.end());
+
+  // Step 2: one range query at `radius`, then rank exactly. The seed ids
+  // already have exact distances in hand, so the cascade skips them instead
+  // of re-filtering and re-verifying each one; the skip list keeps the range
+  // results disjoint from the seed set.
+  std::vector<std::int64_t> skip;
+  skip.reserve(seeds.size());
+  for (const Neighbor& s : seeds) skip.push_back(s.id);
+  std::sort(skip.begin(), skip.end());
+  QueryStats local;
+  std::vector<Neighbor> out = RangeQueryImpl(query, radius, qopts, &local, &skip);
+  out.insert(out.end(), seeds.begin(), seeds.end());
+  std::sort(out.begin(), out.end());
+  if (out.size() > k) out.resize(k);
+  local.results = out.size();
+  if (stats != nullptr) *stats = local;
+  return out;
 }
 
 std::vector<std::vector<Neighbor>> DtwQueryEngine::RangeQueryBatch(

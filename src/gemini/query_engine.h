@@ -18,8 +18,17 @@
 // variant (ts/kernels.h) runs it.
 //
 // kNN queries use the two-step scheme of Korn et al. [17] cited by the
-// paper: a feature-space kNN seeds an upper bound, one range query with that
-// radius yields a guaranteed superset, exact DTW ranks it.
+// paper, exposed as two halves so a coordinator can pick one radius for many
+// engines (DESIGN.md §12):
+//
+//   KnnSeeds   exact DTW of the k feature-nearest ids; any k exact distances
+//              bound the true kth distance from above;
+//   KnnFinish  one range query at a caller-chosen radius, skipping the seeds,
+//              merged with them and ranked by (distance, id).
+//
+// KnnQuery is exactly those two halves with the radius set to the largest of
+// its own seed distances. KnnFinish is exact whenever at least min(k, size())
+// of its answers lie within the radius: then every true top-k member does.
 #pragma once
 
 #include <cstdint>
@@ -51,8 +60,12 @@ struct QueryStats {
   std::size_t improved_pruned = 0;   ///< removed stage: always 0
   std::size_t lb_survivors = 0;      ///< ids entering exact DTW verification
   std::size_t results = 0;           ///< ids verified by exact DTW
-  std::size_t page_accesses = 0;     ///< index pages touched
-  std::size_t exact_dtw_calls = 0;   ///< banded DTW computations performed
+  /// Index pages touched. For kNN this includes the seed step's
+  /// feature-space kNN probe, not only the range probe.
+  std::size_t page_accesses = 0;
+  /// Banded DTW computations performed. For kNN this includes the k seed
+  /// DTWs, not only the range step's verifications.
+  std::size_t exact_dtw_calls = 0;
 
   std::uint64_t index_ns = 0;     ///< envelope build + feature-index probe time
   std::uint64_t lb_ns = 0;        ///< LB_Keogh envelope-bound filter time
@@ -204,8 +217,8 @@ class DtwQueryEngine {
                                    QueryStats* stats = nullptr) const;
 
   /// The k nearest ids under DTW_k, ascending by distance. Exact.
-  /// Two-step algorithm (Korn et al. [17]): seed an upper bound from the
-  /// feature-space kNN, then one range query plus exact verification.
+  /// Two-step algorithm (Korn et al. [17]): KnnSeeds, then KnnFinish at the
+  /// largest seed distance.
   std::vector<Neighbor> KnnQuery(const Series& query, std::size_t k,
                                  QueryStats* stats = nullptr) const;
 
@@ -215,6 +228,26 @@ class DtwQueryEngine {
   std::vector<Neighbor> KnnQuery(const Series& query, std::size_t k,
                                  const QueryOptions& qopts,
                                  QueryStats* stats = nullptr) const;
+
+  /// KnnQuery's first half: the min(k, size()) ids nearest in feature space,
+  /// each with its exact DTW distance (never abandoned), in index order.
+  /// Stats carry the seed probe's page accesses and DTW calls, with the
+  /// step's wall time billed to dtw_ns. On expiry the seeds verified so far
+  /// come back, flagged truncated.
+  std::vector<Neighbor> KnnSeeds(const Series& query, std::size_t k,
+                                 const QueryOptions& qopts,
+                                 QueryStats* stats = nullptr) const;
+
+  /// KnnQuery's second half: the top k by (distance, id) of `seeds` (exact
+  /// distances, e.g. from KnnSeeds on this engine or on a replica holding
+  /// the same series under the same ids) together with every id within
+  /// `radius`. Seeds that are no longer stored are dropped. The answer is
+  /// the exact k nearest whenever `radius` is at least the true kth
+  /// distance — certified when min(k, size()) answers lie within it.
+  std::vector<Neighbor> KnnFinish(const Series& query, std::size_t k,
+                                  double radius, std::vector<Neighbor> seeds,
+                                  const QueryOptions& qopts,
+                                  QueryStats* stats = nullptr) const;
 
   /// Batch form of RangeQuery: queries fan out across `pool`'s workers; the
   /// i-th result is exactly RangeQuery(queries[i], epsilon) — same ids, same

@@ -297,18 +297,10 @@ std::vector<QbhMatch> QbhSystem::QueryNormal(const Series& normal_query,
     MarkRejected(stats);
     return {};
   }
-  std::vector<QbhMatch> out;
   // Reader epoch: the whole cascade plus the name lookup observes one
   // consistent corpus snapshot against concurrent Insert/Remove.
   std::shared_lock<std::shared_mutex> lock(*mu_);
-  std::vector<Neighbor> nn = engine_->KnnQuery(normal_query, top_k, qopts, stats);
-  out.reserve(nn.size());
-  for (const Neighbor& n : nn) {
-    const std::optional<Melody>& m = melodies_[static_cast<std::size_t>(n.id)];
-    HUMDEX_CHECK(m.has_value());  // the engine only returns live ids
-    out.push_back({n.id, m->name, n.distance});
-  }
-  return out;
+  return NamedLocked(engine_->KnnQuery(normal_query, top_k, qopts, stats));
 }
 
 std::vector<QbhMatch> QbhSystem::RangeQueryNormal(const Series& normal_query,
@@ -320,10 +312,41 @@ std::vector<QbhMatch> QbhSystem::RangeQueryNormal(const Series& normal_query,
     MarkRejected(stats);
     return {};
   }
-  std::vector<QbhMatch> out;
   std::shared_lock<std::shared_mutex> lock(*mu_);
-  std::vector<Neighbor> nn =
-      engine_->RangeQuery(normal_query, epsilon, qopts, stats);
+  return NamedLocked(engine_->RangeQuery(normal_query, epsilon, qopts, stats));
+}
+
+std::vector<Neighbor> QbhSystem::KnnSeedsNormal(const Series& normal_query,
+                                                std::size_t top_k,
+                                                const QueryOptions& qopts,
+                                                QueryStats* stats) const {
+  HUMDEX_CHECK_MSG(engine_ != nullptr, "KnnSeedsNormal before Build()");
+  if (normal_query.empty()) {
+    MarkRejected(stats);
+    return {};
+  }
+  std::shared_lock<std::shared_mutex> lock(*mu_);
+  return engine_->KnnSeeds(normal_query, top_k, qopts, stats);
+}
+
+std::vector<QbhMatch> QbhSystem::KnnFinishNormal(
+    const Series& normal_query, std::size_t top_k, double radius,
+    const std::vector<Neighbor>& seeds, const QueryOptions& qopts,
+    QueryStats* stats, std::size_t* live) const {
+  HUMDEX_CHECK_MSG(engine_ != nullptr, "KnnFinishNormal before Build()");
+  if (normal_query.empty()) {
+    MarkRejected(stats);
+    return {};
+  }
+  std::shared_lock<std::shared_mutex> lock(*mu_);
+  if (live != nullptr) *live = live_count_;
+  return NamedLocked(
+      engine_->KnnFinish(normal_query, top_k, radius, seeds, qopts, stats));
+}
+
+std::vector<QbhMatch> QbhSystem::NamedLocked(
+    const std::vector<Neighbor>& nn) const {
+  std::vector<QbhMatch> out;
   out.reserve(nn.size());
   for (const Neighbor& n : nn) {
     const std::optional<Melody>& m = melodies_[static_cast<std::size_t>(n.id)];

@@ -250,6 +250,24 @@ class QbhSystem {
       const QueryOptions& qopts = QueryOptions(),
       QueryStats* stats = nullptr) const;
 
+  /// QueryNormal's two halves (DtwQueryEngine::KnnSeeds / KnnFinish), each
+  /// under its own reader lock, for a coordinator that picks one kNN radius
+  /// for many shards (DESIGN.md §12). The seeds carry this system's ids and
+  /// exact distances; KnnFinishNormal drops any seed removed since, names
+  /// the answer, and stores in `*live` (when non-null) the live melody count
+  /// it saw under the same lock. Empty normal forms are rejected as in
+  /// QueryNormal.
+  std::vector<Neighbor> KnnSeedsNormal(const Series& normal_query,
+                                       std::size_t top_k,
+                                       const QueryOptions& qopts,
+                                       QueryStats* stats = nullptr) const;
+  std::vector<QbhMatch> KnnFinishNormal(const Series& normal_query,
+                                        std::size_t top_k, double radius,
+                                        const std::vector<Neighbor>& seeds,
+                                        const QueryOptions& qopts,
+                                        QueryStats* stats = nullptr,
+                                        std::size_t* live = nullptr) const;
+
   /// Batch form of Query: hums fan out across `pool`'s workers; the i-th
   /// result is exactly Query(hum_pitches[i], top_k) regardless of worker
   /// count. `aggregate`, when non-null, receives the per-query stats summed
@@ -300,6 +318,10 @@ class QbhSystem {
   /// Compute the indexable normal form of a melody, or an error for notes a
   /// corpus must not contain (non-finite pitch, non-positive duration).
   Result<Series> MelodyNormalForm(const Melody& melody) const;
+
+  /// Engine answers with their melody names; the caller holds the reader
+  /// lock under which the engine produced them.
+  std::vector<QbhMatch> NamedLocked(const std::vector<Neighbor>& nn) const;
 
   // Mutation appliers: the caller holds the writer lock; no WAL involved.
   void ApplyInsertLocked(Melody melody, std::int64_t id, Series normal);

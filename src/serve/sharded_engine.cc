@@ -8,6 +8,7 @@
 
 #include "music/pitch_tracker.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "qbh/storage.h"
 #include "ts/normal_form.h"
 
@@ -76,6 +77,12 @@ obs::Counter& RepairCounter() {
   return c;
 }
 
+obs::Counter& KnnRadiusFallbackCounter() {
+  static obs::Counter& c = obs::MetricsRegistry::Default().GetCounter(
+      "sharded.knn_radius_fallbacks");
+  return c;
+}
+
 obs::Counter& RejectedCounter() {
   static obs::Counter& c =
       obs::MetricsRegistry::Default().GetCounter("serve.queries_rejected");
@@ -95,6 +102,22 @@ void MarkRejected(QueryStats* stats) {
 bool MatchLess(const QbhMatch& a, const QbhMatch& b) {
   if (a.distance != b.distance) return a.distance < b.distance;
   return a.id < b.id;
+}
+
+/// The request-wide kNN radius: the kth smallest seed distance over every
+/// shard (the largest when fewer than k seeds came back). Any k exact
+/// distances bound the true kth distance from above.
+double KthSeedDistance(const std::vector<std::vector<Neighbor>>& seeds,
+                       std::size_t k) {
+  std::vector<double> d;
+  for (const std::vector<Neighbor>& shard : seeds) {
+    for (const Neighbor& s : shard) d.push_back(s.distance);
+  }
+  if (d.empty() || k == 0) return 0.0;
+  const std::size_t kth = std::min(k, d.size()) - 1;
+  std::nth_element(d.begin(), d.begin() + static_cast<std::ptrdiff_t>(kth),
+                   d.end());
+  return d[kth];
 }
 
 /// Failover rank: healthy before degraded, complete before lossy. Lower is
@@ -350,9 +373,8 @@ std::vector<ShardedEngine::GroupSnapshot> ShardedEngine::Snapshot(
 }
 
 std::vector<QbhMatch> ShardedEngine::ShardQuery(
-    std::size_t shard, const GroupSnapshot& snap, const Series& normal,
-    bool knn, std::size_t top_k, double epsilon, const QueryOptions& qopts,
-    QueryStats* stats, bool* ok) const {
+    std::size_t shard, const GroupSnapshot& snap, const ShardCall& call,
+    const QueryOptions& qopts, QueryStats* stats, bool* ok) const {
   const int attempts = std::max(1, opts_.attempts_per_shard);
   for (int a = 0; a < attempts; ++a) {
     QueryOptions per = qopts;
@@ -374,11 +396,9 @@ std::vector<QbhMatch> ShardedEngine::ShardQuery(
     // replica lands on a different copy of the same data.
     const std::size_t pick =
         static_cast<std::size_t>(a) % snap.systems.size();
-    const std::shared_ptr<QbhSystem>& system = snap.systems[pick];
     QueryStats attempt_stats;
     std::vector<QbhMatch> out =
-        knn ? system->QueryNormal(normal, top_k, per, &attempt_stats)
-            : system->RangeQueryNormal(normal, epsilon, per, &attempt_stats);
+        call(shard, *snap.systems[pick], per, &attempt_stats);
     // Hedge: an attempt that blew its slice (truncated) is retried with the
     // next slice, unless the overall deadline is spent — then the truncated
     // answer (exact for everything it examined) is the best we can return.
@@ -413,44 +433,132 @@ std::vector<QbhMatch> ShardedEngine::ScatterGather(
     return {};
   }
   QueryStats local;
-  std::vector<GroupSnapshot> snaps = Snapshot(&local);
+  const std::vector<GroupSnapshot> snaps = Snapshot(&local);
+  const std::size_t n = snaps.size();
 
-  std::vector<std::vector<QbhMatch>> per_shard(snaps.size());
-  std::vector<QueryStats> shard_stats(snaps.size());
-  std::vector<char> shard_ok(snaps.size(), 0);
-  auto run_shard = [&](std::size_t s) {
-    if (snaps[s].systems.empty()) return;  // already counted failed
-    bool ok = false;
-    per_shard[s] = ShardQuery(s, snaps[s], normal, knn, top_k, epsilon, qopts,
-                              &shard_stats[s], &ok);
-    shard_ok[s] = ok ? 1 : 0;
-  };
-  if (parallel && pool_.size() > 1 && snaps.size() > 1) {
-    std::vector<std::future<void>> futures;
-    futures.reserve(snaps.size());
-    for (std::size_t s = 0; s < snaps.size(); ++s) {
-      futures.push_back(pool_.Submit([&run_shard, s] { run_shard(s); }));
+  // Groups with no serving replica were counted failed by Snapshot.
+  std::vector<char> serving(n, 0);
+  for (std::size_t s = 0; s < n; ++s) serving[s] = !snaps[s].systems.empty();
+
+  // Runs fn(s) for every group selected in `groups`: on the pool when
+  // `parallel`, inline otherwise.
+  auto scatter = [&](const std::vector<char>& groups,
+                     const std::function<void(std::size_t)>& fn) {
+    if (parallel && pool_.size() > 1 && n > 1) {
+      std::vector<std::future<void>> futures;
+      futures.reserve(n);
+      for (std::size_t s = 0; s < n; ++s) {
+        if (groups[s]) futures.push_back(pool_.Submit([&fn, s] { fn(s); }));
+      }
+      // Every task borrows this frame: let all finish before get() rethrows.
+      for (std::future<void>& f : futures) f.wait();
+      for (std::future<void>& f : futures) f.get();
+    } else {
+      for (std::size_t s = 0; s < n; ++s) {
+        if (groups[s]) fn(s);
+      }
     }
-    for (std::future<void>& f : futures) f.get();
-  } else {
-    for (std::size_t s = 0; s < snaps.size(); ++s) run_shard(s);
-  }
+  };
+
+  // One hedged scatter of `call` over the groups selected by `run`. Groups
+  // whose every attempt failed leave the answer (flagged partial); the
+  // others' stats are tallied.
+  std::vector<std::vector<QbhMatch>> per_shard(n);
+  std::vector<char> served(n, 0);
+  auto run_phase = [&](const ShardCall& call, const std::vector<char>& run) {
+    std::vector<QueryStats> shard_stats(n);
+    scatter(run, [&](std::size_t s) {
+      bool ok = false;
+      per_shard[s] = ShardQuery(s, snaps[s], call, qopts, &shard_stats[s], &ok);
+      served[s] = ok ? 1 : 0;
+    });
+    for (std::size_t s = 0; s < n; ++s) {
+      if (!run[s]) continue;
+      if (!served[s]) {
+        // Every attempt failed at query time: the group stays in the engine
+        // (its state is fine) but this answer does not cover it.
+        ++local.shards_failed;
+        local.partial = true;
+        continue;
+      }
+      local += shard_stats[s];
+    }
+  };
+  auto merge = [&] {
+    std::vector<QbhMatch> merged;
+    for (std::size_t s = 0; s < n; ++s) {
+      if (!served[s]) continue;
+      merged.insert(merged.end(), per_shard[s].begin(), per_shard[s].end());
+    }
+    std::sort(merged.begin(), merged.end(), MatchLess);
+    if (knn && merged.size() > top_k) merged.resize(top_k);
+    return merged;
+  };
 
   std::vector<QbhMatch> merged;
-  for (std::size_t s = 0; s < snaps.size(); ++s) {
-    if (snaps[s].systems.empty()) continue;
-    if (!shard_ok[s]) {
-      // Every attempt failed at query time: the group stays in the engine
-      // (its state is fine) but this answer does not cover it.
-      ++local.shards_failed;
-      local.partial = true;
-      continue;
+  if (!knn) {
+    run_phase(
+        [&](std::size_t, const QbhSystem& sys, const QueryOptions& per,
+            QueryStats* st) {
+          return sys.RangeQueryNormal(normal, epsilon, per, st);
+        },
+        serving);
+    merged = merge();
+  } else {
+    // Phase 1: every group's preferred replica returns its k feature-nearest
+    // ids with exact distances. The kth smallest of all of them bounds the
+    // request's true kth distance, and is never looser than one shard's own
+    // two-step radius.
+    std::vector<std::vector<Neighbor>> seeds(n);
+    double radius = 0.0;
+    {
+      HUMDEX_SPAN(span, "sharded.knn_seed");
+      std::vector<QueryStats> seed_stats(n);
+      scatter(serving, [&](std::size_t s) {
+        seeds[s] = snaps[s].systems[0]->KnnSeedsNormal(normal, top_k, qopts,
+                                                       &seed_stats[s]);
+      });
+      for (const QueryStats& st : seed_stats) local += st;
+      radius = KthSeedDistance(seeds, top_k);
+      HUMDEX_SPAN_ATTR(span, "radius", radius);
     }
-    local += shard_stats[s];
-    merged.insert(merged.end(), per_shard[s].begin(), per_shard[s].end());
+
+    // Phase 2: every group range-scans at that one radius, skipping the
+    // seeds it already holds, and returns its local top-k.
+    std::vector<std::size_t> live(n, 0);
+    run_phase(
+        [&](std::size_t s, const QbhSystem& sys, const QueryOptions& per,
+            QueryStats* st) {
+          return sys.KnnFinishNormal(normal, top_k, radius, seeds[s], per, st,
+                                     &live[s]);
+        },
+        serving);
+    merged = merge();
+
+    // Certification: the radius may rest on seeds of a group that then
+    // failed phase 2. With min(k, live) answers within the radius, every
+    // true top-k member over the groups that served lies within it, so its
+    // own group found and kept it. Otherwise re-run those groups with their
+    // own two-step kNN. A truncated answer is best-effort already.
+    std::size_t live_total = 0;
+    for (std::size_t s = 0; s < n; ++s) {
+      if (served[s]) live_total += live[s];
+    }
+    const std::size_t within = static_cast<std::size_t>(std::count_if(
+        merged.begin(), merged.end(),
+        [radius](const QbhMatch& m) { return m.distance <= radius; }));
+    if (!local.truncated && within < std::min(top_k, live_total)) {
+      KnnRadiusFallbackCounter().Increment();
+      const std::vector<char> rerun = served;  // run_phase rewrites served
+      run_phase(
+          [&](std::size_t, const QbhSystem& sys, const QueryOptions& per,
+              QueryStats* st) {
+            return sys.QueryNormal(normal, top_k, per, st);
+          },
+          rerun);
+      merged = merge();
+    }
   }
-  std::sort(merged.begin(), merged.end(), MatchLess);
-  if (knn && merged.size() > top_k) merged.resize(top_k);
 
   if (local.partial) PartialCounter().Increment();
   if (local.shards_failed > 0) {

@@ -7,12 +7,15 @@
 // Id mapping is fixed round robin: global id g lives on shard g % N under
 // local id g / N (g = l*N + s). Within a shard, local id order equals global
 // id order, so each shard's top-k by (distance, local id) translates
-// directly to (distance, global id) — and any member of the global top-k is
-// by definition in its own shard's top-k. Merging the per-shard answers by
-// (distance, global id) is therefore *bit-identical* to running the query on
-// one unsharded engine, whenever every group answers. Which replica of a
-// group answers is immaterial: serving replicas are kept bit-identical (see
-// the write path below), so the merge proof is unchanged by failover.
+// directly to (distance, global id). kNN runs as one two-step query per
+// request: every group returns its k seeds with exact distances, the kth
+// smallest of them all becomes the one range radius every group scans at,
+// and a radius the serving groups cannot certify falls back to per-shard
+// two-step kNN (DESIGN.md §12). Merging by (distance, global id) is
+// therefore *bit-identical* to running the query on one unsharded engine,
+// whenever every group answers. Which replica of a group answers is
+// immaterial: serving replicas are kept bit-identical (see the write path
+// below), so the merge proof is unchanged by failover.
 //
 // Fault isolation: each replica carries its own health state
 //
@@ -129,6 +132,9 @@ struct ShardedOptions {
   /// Test hook: when set, called as (shard, attempt); returning true makes
   /// that attempt fail without touching the shard — a deterministic stand-in
   /// for a slow or hung replica, exercising the hedge/failover/partial paths.
+  /// It governs the hedged range attempts (for kNN, the step at the
+  /// request-wide radius and any fallback); the kNN seed step runs once on
+  /// the preferred replica.
   std::function<bool(std::size_t, int)> fail_attempt_hook;
 };
 
@@ -172,7 +178,9 @@ class ShardedEngine {
   /// Top-k across all serving groups, merged by (distance, global id).
   /// Bit-identical to the unsharded answer when every group serves; with
   /// failed groups the answer is exact over the groups that answered and
-  /// `stats->partial` / `stats->shards_failed` say so.
+  /// `stats->partial` / `stats->shards_failed` say so. The stats sum both
+  /// kNN steps: exact_dtw_calls and page_accesses include every group's
+  /// seed DTWs and seed probe.
   std::vector<QbhMatch> Query(const Series& hum_pitch, std::size_t top_k,
                               const QueryOptions& qopts = QueryOptions(),
                               QueryStats* stats = nullptr) const;
@@ -322,20 +330,26 @@ class ShardedEngine {
   /// failover. Fills stats->shards_failed/partial for downed groups.
   std::vector<GroupSnapshot> Snapshot(QueryStats* stats) const;
 
+  /// One attempt's work: the QbhSystem call a scatter phase makes on one
+  /// replica of `shard`, under the attempt's QueryOptions.
+  using ShardCall = std::function<std::vector<QbhMatch>(
+      std::size_t shard, const QbhSystem& system, const QueryOptions& qopts,
+      QueryStats* stats)>;
+
   /// One group's contribution, with hedged attempts, per-attempt deadline
   /// slices, and per-attempt replica failover. Local ids are translated to
   /// global before returning. `*ok` false = every attempt failed (the group
   /// counts as failed for this query).
   std::vector<QbhMatch> ShardQuery(std::size_t shard,
                                    const GroupSnapshot& snap,
-                                   const Series& normal, bool knn,
-                                   std::size_t top_k, double epsilon,
+                                   const ShardCall& call,
                                    const QueryOptions& qopts,
                                    QueryStats* stats, bool* ok) const;
 
   /// Scatter `normal` over the snapshots (in parallel on pool_ when
   /// `parallel`; inline when already running on a pool worker), merge by
-  /// (distance, global id).
+  /// (distance, global id). kNN scatters twice — seeds, then one range
+  /// radius for every shard — and certifies the radius (DESIGN.md §12).
   std::vector<QbhMatch> ScatterGather(const Series& normal, bool knn,
                                       std::size_t top_k, double epsilon,
                                       const QueryOptions& qopts,

@@ -176,6 +176,77 @@ TEST(QueryEngineTest, EmptyAndZeroKQueries) {
   EXPECT_TRUE(engine.KnnQuery(q, 0).empty());
 }
 
+TEST(QueryEngineTest, KnnQueryIsSeedsThenFinishAtTheLargestSeed) {
+  Rng rng(23);
+  DtwQueryEngine engine(MakeNewPaaScheme(128, 8), QueryEngineOptions());
+  for (int i = 0; i < 150; ++i) engine.Add(RandomWalk(&rng, 128), i);
+  for (int q = 0; q < 5; ++q) {
+    const Series query = RandomWalk(&rng, 128);
+    QueryStats seed_stats, finish_stats, knn_stats;
+    std::vector<Neighbor> seeds =
+        engine.KnnSeeds(query, 6, QueryOptions(), &seed_stats);
+    ASSERT_EQ(seeds.size(), 6u);
+    double radius = 0.0;
+    for (const Neighbor& s : seeds) {
+      EXPECT_EQ(s.distance, engine.ExactDistance(query, s.id));
+      radius = std::max(radius, s.distance);
+    }
+    const std::vector<Neighbor> got = engine.KnnFinish(
+        query, 6, radius, seeds, QueryOptions(), &finish_stats);
+    const std::vector<Neighbor> want = engine.KnnQuery(query, 6, &knn_stats);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].id, want[i].id);
+      EXPECT_EQ(got[i].distance, want[i].distance);
+    }
+    // KnnQuery's counters are the two halves' counters summed.
+    EXPECT_EQ(knn_stats.exact_dtw_calls,
+              seed_stats.exact_dtw_calls + finish_stats.exact_dtw_calls);
+    EXPECT_EQ(knn_stats.page_accesses,
+              seed_stats.page_accesses + finish_stats.page_accesses);
+    EXPECT_EQ(seed_stats.exact_dtw_calls, 6u);
+  }
+}
+
+TEST(QueryEngineTest, KnnFinishDropsASeedRemovedBeforeIt) {
+  Rng rng(29);
+  std::vector<Series> corpus;
+  for (int i = 0; i < 120; ++i) corpus.push_back(RandomWalk(&rng, 128));
+  DtwQueryEngine engine(MakeNewPaaScheme(128, 8), QueryEngineOptions());
+  engine.AddAll(corpus);
+  const Series query = corpus[7];
+  std::vector<Neighbor> seeds = engine.KnnSeeds(query, 4, QueryOptions());
+  ASSERT_EQ(seeds.size(), 4u);
+  double radius = 0.0;
+  for (const Neighbor& s : seeds) radius = std::max(radius, s.distance);
+  const std::int64_t removed = seeds.front().id;
+  ASSERT_TRUE(engine.Remove(removed));
+
+  // At the seeds' own radius: the removed seed is gone, and every answer is
+  // a live id with its exact distance.
+  for (const Neighbor& n : engine.KnnFinish(query, 4, radius, seeds,
+                                            QueryOptions())) {
+    EXPECT_NE(n.id, removed);
+    EXPECT_EQ(n.distance, engine.ExactDistance(query, n.id));
+  }
+  // At an unbounded radius the answer is the brute-force top 4 of what is
+  // left.
+  std::vector<Neighbor> all;
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    if (static_cast<std::int64_t>(i) == removed) continue;
+    all.push_back({static_cast<std::int64_t>(i),
+                   LdtwDistance(query, corpus[i], engine.band_radius())});
+  }
+  std::sort(all.begin(), all.end());
+  const std::vector<Neighbor> got =
+      engine.KnnFinish(query, 4, kInfiniteDistance, seeds, QueryOptions());
+  ASSERT_EQ(got.size(), 4u);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, all[i].id);
+    EXPECT_EQ(got[i].distance, all[i].distance);
+  }
+}
+
 TEST(QueryEngineTest, StatsPageAccessesPositive) {
   Rng rng(11);
   QueryEngineOptions opts;

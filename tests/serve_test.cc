@@ -13,8 +13,11 @@
 
 #include "music/hummer.h"
 #include "music/song_generator.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "serve/sharded_engine.h"
 #include "util/env.h"
+#include "util/random.h"
 
 namespace humdex {
 namespace serve {
@@ -128,7 +131,129 @@ TEST(ShardedEngineTest, QueryBatchMatchesSerialQueries) {
   EXPECT_FALSE(aggregate.partial);
 }
 
+std::uint64_t KnnRadiusFallbacks() {
+  return obs::MetricsRegistry::Default()
+      .GetCounter("sharded.knn_radius_fallbacks")
+      .value();
+}
+
+// Every melody stored three times at shuffled positions under distinct
+// names: each hum ties three ids at every distance, so the request-wide kNN
+// radius must keep ties and the merge must break them by global id exactly
+// as one engine does, whatever the shard count.
+TEST(ShardedEngineTest, DuplicateCorpusTiesMatchSingleEngineAcrossShardCounts) {
+  const std::vector<Melody> base = Corpus(40, 5);
+  std::vector<Melody> corpus;
+  for (int copy = 0; copy < 3; ++copy) {
+    for (const Melody& m : base) {
+      corpus.push_back(m);
+      corpus.back().name = m.name + "#" + std::to_string(copy);
+    }
+  }
+  Rng rng(17);
+  for (std::size_t i = corpus.size() - 1; i > 0; --i) {
+    std::swap(corpus[i],
+              corpus[rng.NextBounded(static_cast<std::uint32_t>(i + 1))]);
+  }
+  QbhSystem single = SingleEngine(corpus);
+  const std::vector<Series> hums = HumPanel(base, 6);
+  const std::uint64_t fallbacks = KnnRadiusFallbacks();
+  for (std::size_t shards : {1u, 2u, 3u, 8u}) {
+    auto sharded = Sharded(corpus, shards);
+    for (std::size_t k : {1u, 2u, 4u, 5u, 7u}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " k=" + std::to_string(k));
+      const auto batch = sharded->QueryBatch(hums, k);
+      ASSERT_EQ(batch.size(), hums.size());
+      for (std::size_t i = 0; i < hums.size(); ++i) {
+        const auto want = single.Query(hums[i], k);
+        ExpectSameMatches(sharded->Query(hums[i], k), want);
+        ExpectSameMatches(batch[i], want);
+      }
+    }
+  }
+  EXPECT_EQ(KnnRadiusFallbacks(), fallbacks);  // healthy path: certified
+}
+
+TEST(ShardedEngineTest, KnnSeedPhaseIsTraced) {
+  auto corpus = Corpus(24);
+  auto sharded = Sharded(corpus, 3);
+  obs::QueryTrace trace;
+  QueryStats stats;
+  {
+    obs::ScopedTrace activate(&trace);
+    sharded->Query(HumPanel(corpus, 1)[0], 4, QueryOptions(), &stats);
+  }
+  // Seed DTWs count: three shards each verify their own four seeds.
+  EXPECT_GE(stats.exact_dtw_calls, 12u);
+#if HUMDEX_TRACING_ENABLED
+  const obs::TraceSpan* seed = trace.Find("sharded.knn_seed");
+  ASSERT_NE(seed, nullptr);
+  EXPECT_GE(seed->Attribute("radius"), 0.0);
+#endif
+}
+
 // --- Partial results: degraded, never wrong ---------------------------------
+
+// The request-wide radius can rest on seeds of a shard whose range attempts
+// then all fail. Without certification the surviving shards would answer at
+// a radius they cannot back up and silently miss true neighbors; with it,
+// each answer is the unsharded ranking minus the failed shard.
+TEST(ShardedEngineTest, RangeFailureOnAnyShardStillYieldsExactPartialAnswers) {
+  const std::size_t kShards = 4;
+  const std::size_t kTopK = 3;
+  auto corpus = Corpus(400);
+  QbhSystem single = SingleEngine(corpus);
+  const std::vector<Series> hums = HumPanel(corpus, 12);
+  std::vector<std::vector<QbhMatch>> full;
+  for (const Series& hum : hums) full.push_back(single.Query(hum, corpus.size()));
+
+  const std::uint64_t fallbacks = KnnRadiusFallbacks();
+  for (std::size_t failing = 0; failing < kShards; ++failing) {
+    ShardedOptions opts;
+    opts.fail_attempt_hook = [failing](std::size_t shard, int) {
+      return shard == failing;
+    };
+    auto sharded = Sharded(corpus, kShards, std::move(opts));
+    const auto batch = sharded->QueryBatch(hums, kTopK);
+    for (std::size_t i = 0; i < hums.size(); ++i) {
+      SCOPED_TRACE("failing shard " + std::to_string(failing) + ", hum " +
+                   std::to_string(i));
+      std::vector<QbhMatch> expect;
+      for (const QbhMatch& m : full[i]) {
+        if (static_cast<std::size_t>(m.id) % kShards != failing) {
+          expect.push_back(m);
+        }
+        if (expect.size() == kTopK) break;
+      }
+      QueryStats stats;
+      ExpectSameMatches(sharded->Query(hums[i], kTopK, QueryOptions(), &stats),
+                        expect);
+      EXPECT_TRUE(stats.partial);
+      EXPECT_EQ(stats.shards_failed, 1u);
+      ExpectSameMatches(batch[i], expect);
+    }
+  }
+  EXPECT_GT(KnnRadiusFallbacks(), fallbacks);
+}
+
+TEST(ShardedEngineTest, FinishHalfDropsASeedRemovedAfterSeeding) {
+  auto corpus = Corpus(30);
+  QbhSystem system = SingleEngine(corpus);
+  const Series normal = system.HumToNormalForm(HumPanel(corpus, 1)[0]);
+  const std::vector<Neighbor> seeds =
+      system.KnnSeedsNormal(normal, 3, QueryOptions());
+  ASSERT_EQ(seeds.size(), 3u);
+  double radius = 0.0;
+  for (const Neighbor& s : seeds) radius = std::max(radius, s.distance);
+  ASSERT_TRUE(system.Remove(seeds.front().id).ok());
+  std::size_t live = 0;
+  const auto got = system.KnnFinishNormal(normal, 3, radius, seeds,
+                                          QueryOptions(), nullptr, &live);
+  EXPECT_EQ(live, corpus.size() - 1);
+  for (const QbhMatch& m : got) EXPECT_NE(m.id, seeds.front().id);
+}
+
 
 TEST(ShardedEngineTest, QuarantinedShardYieldsFlaggedPartialNeverWrong) {
   auto corpus = Corpus(32);
