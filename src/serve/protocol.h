@@ -22,6 +22,24 @@
 // or
 //   err <message>
 //
+// Lines end at `\n`. Tokens are split on the C-locale whitespace set (space,
+// `\t`, `\r`, `\v`, `\f`), so CRLF frames parse; tokens past a header's
+// fields are ignored, and a match name is the rest of its line.
+//
+// Number grammar (std::from_chars over the whole token, no locale):
+//
+//   count    [0-9]+                  top_k, deadline_ms, match count, id,
+//                                    shards_failed; must fit std::size_t
+//   decimal  [-]digits[.[digits]] or [-].digits, then an optional
+//            (e|E)[+|-]digits        pitch values, epsilon, distances
+//
+// A decimal must be finite: `inf`, `infinity` and `nan` are errors, and so is
+// a literal past DBL_MAX (`1e400`) or one that rounds a nonzero mantissa to
+// zero (`1e-400`); subnormals parse. A leading `+`, hex floats (`0x1p3`) and
+// trailing bytes (`1_`) are errors. Encoders write the shortest decimal that
+// round-trips (std::to_chars), so every finite double, signed zero and
+// subnormals included, comes back bit for bit.
+//
 // Encode/parse run on both sides of the socket, so the unit tests round-trip
 // the protocol without opening one. Parsing is Status-based and bounds every
 // size field: malformed frames produce an error response, never an abort.
@@ -29,6 +47,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "qbh/qbh_system.h"
@@ -40,6 +59,9 @@ namespace serve {
 /// Upper bound on one frame's payload; a header announcing more is a
 /// protocol error (the connection is dropped, nothing is allocated).
 constexpr std::uint32_t kMaxFrameBytes = 16u << 20;
+
+/// Upper bound on the values in one `pitch` line; one more is a parse error.
+constexpr std::size_t kMaxPitchValues = kMaxFrameBytes / 2;
 
 /// 4-byte little-endian length + payload.
 std::string EncodeFrame(const std::string& payload);
@@ -61,7 +83,7 @@ struct Request {
 };
 
 std::string EncodeRequest(const Request& request);
-Status ParseRequest(const std::string& payload, Request* out);
+Status ParseRequest(std::string_view payload, Request* out);
 
 struct Response {
   bool ok = false;
@@ -74,7 +96,7 @@ struct Response {
 };
 
 std::string EncodeResponse(const Response& response);
-Status ParseResponse(const std::string& payload, Response* out);
+Status ParseResponse(std::string_view payload, Response* out);
 
 }  // namespace serve
 }  // namespace humdex

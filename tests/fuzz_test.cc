@@ -4,11 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "audio/wav_io.h"
 #include "index/rstar_tree.h"
+#include "music/hummer.h"
 #include "music/melody_io.h"
 #include "music/song_generator.h"
 #include "qbh/qbh_system.h"
@@ -531,6 +535,83 @@ TEST(FuzzTest, ParseResponseNeverCrashesOnGarbageOrMutations) {
     Status st = serve::ParseResponse(text, &out);
     (void)st;
   }
+}
+
+// Applies 1-3 seeded byte flips, inserts and truncations to `valid`.
+std::string MutateFrame(Rng* rng, const std::string& valid) {
+  std::string text = valid;
+  const int mutations = rng->UniformInt(1, 3);
+  for (int m = 0; m < mutations && !text.empty(); ++m) {
+    const std::size_t pos = static_cast<std::size_t>(
+        rng->NextBounded(static_cast<std::uint32_t>(text.size())));
+    switch (rng->NextBounded(3)) {
+      case 0:  // flip a byte (possibly to a non-ASCII value or a NUL)
+        text[pos] = static_cast<char>(rng->NextBounded(256));
+        break;
+      case 1:  // insert a short random run
+        text.insert(pos, RandomBytes(rng, 1 + rng->NextBounded(8)));
+        break;
+      default:  // truncate
+        text.resize(pos);
+        break;
+    }
+  }
+  return text;
+}
+
+// The codec walks raw pointers over the payload, so each mutated frame sits
+// in a heap block of exactly its size: under ASan, a read one byte past the
+// end is a heap-buffer-overflow, not a read of std::string's spare capacity.
+TEST(FuzzTest, CodecSurvivesMutatedRealHumAndMatchFrames) {
+  SongGenerator gen(18);
+  const std::vector<Melody> phrases = gen.GeneratePhrases(31);
+  Hummer hummer(HummerProfile::Good(), 18);
+  serve::Request query;
+  query.kind = serve::Request::Kind::kRange;
+  query.epsilon = 3.5;
+  query.deadline_ms = 250;
+  query.pitch = hummer.Hum(phrases[0]);
+  serve::Response answer;
+  answer.ok = true;
+  for (std::size_t i = 0; i < phrases.size(); ++i) {
+    QbhMatch m;
+    m.id = static_cast<std::int64_t>(i * 37);
+    m.distance = 0.25 + 1.0 / static_cast<double>(i + 3);
+    m.name = "phrase " + std::to_string(i) + " (take 2)";
+    answer.matches.push_back(m);
+  }
+  const std::string request_text = serve::EncodeRequest(query);
+  const std::string response_text = serve::EncodeResponse(answer);
+  serve::Request request;
+  serve::Response response;
+  ASSERT_TRUE(serve::ParseRequest(request_text, &request).ok());
+  ASSERT_EQ(request.pitch, query.pitch);
+  ASSERT_TRUE(serve::ParseResponse(response_text, &response).ok());
+  ASSERT_EQ(response.matches.size(), 31u);
+
+  Rng rng(19);
+  int requests_ok = 0;
+  int responses_ok = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    for (const bool is_request : {true, false}) {
+      const std::string text =
+          MutateFrame(&rng, is_request ? request_text : response_text);
+      std::unique_ptr<char[]> exact(new char[text.size()]);
+      std::memcpy(exact.get(), text.data(), text.size());
+      const std::string_view payload(exact.get(), text.size());
+      // A Status or a parse, never an abort or an out-of-bounds read.
+      if (is_request) {
+        requests_ok += serve::ParseRequest(payload, &request).ok();
+      } else {
+        responses_ok += serve::ParseResponse(payload, &response).ok();
+        EXPECT_LE(response.matches.capacity(), text.size());
+      }
+    }
+  }
+  // Most truncations and many flips leave a well-formed frame, so both
+  // accept paths ran too.
+  EXPECT_GT(requests_ok, 0);
+  EXPECT_GT(responses_ok, 0);
 }
 
 TEST(FuzzTest, FrameRoundTripSurvivesRandomPayloads) {
