@@ -10,6 +10,8 @@
 //   3. range and kNN answers served from the mapped corpus are BIT-IDENTICAL
 //      to a freshly built engine's (the exactness oracle).
 //
+// It also prints, ungated, the resident bytes per melody each open adds.
+//
 //   ablation_mmap [--n=N] [--metrics_out=PATH]
 //
 // Default N is 100000 melodies, the "million-note corpus" operating point of
@@ -85,6 +87,20 @@ std::uint64_t V2MelodyBlockBytes(const std::string& text) {
   return bytes;
 }
 
+// Resident set size of this process in bytes (VmRSS in /proc/self/status),
+// or 0 where that file does not exist.
+std::int64_t ResidentBytes() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return 0;
+  char line[256];
+  unsigned long long kb = 0;
+  while (std::fgets(line, sizeof line, f) != nullptr) {
+    if (std::sscanf(line, "VmRSS: %llu kB", &kb) == 1) break;
+  }
+  std::fclose(f);
+  return static_cast<std::int64_t>(kb) * 1024;
+}
+
 int Run(int argc, char** argv) {
   const std::size_t n = FlagN(argc, argv, 100000);
   const std::string v2_path = "/tmp/humdex_ablation_mmap.v2.db";
@@ -119,13 +135,19 @@ int Run(int argc, char** argv) {
     return 1;
   }
 
-  // Race the load paths; best of three keeps page-cache noise out.
+  // Race the load paths; best of three keeps page-cache noise out. The
+  // resident bytes each open adds (VmRSS after minus before, mapped file
+  // pages included) come from the first round: later rounds reuse memory
+  // the allocator kept from earlier ones.
   double v2_ms = 1e18, v3_ms = 1e18;
+  std::int64_t v2_rss = 0, v3_rss = 0;
   Result<QbhSystem> mapped = Status::Internal("not loaded");
   for (int round = 0; round < 3; ++round) {
+    const std::int64_t rss_before_v2 = ResidentBytes();
     auto t2 = Clock::now();
     Result<QbhSystem> from_text = LoadQbhDatabase(v2_path, env);
     v2_ms = std::min(v2_ms, MsSince(t2));
+    if (round == 0) v2_rss = ResidentBytes() - rss_before_v2;
     if (!from_text.ok()) {
       std::fprintf(stderr, "v2 load: %s\n",
                    from_text.status().ToString().c_str());
@@ -134,9 +156,11 @@ int Run(int argc, char** argv) {
     // Drop the previous round's engine before the timer: tearing down a
     // 100k-melody system is not part of the open path being measured.
     mapped = Status::Internal("not loaded");
+    const std::int64_t rss_before_v3 = ResidentBytes();
     auto t3 = Clock::now();
     mapped = LoadQbhDatabase(v3_path, env);
     v3_ms = std::min(v3_ms, MsSince(t3));
+    if (round == 0) v3_rss = ResidentBytes() - rss_before_v3;
     if (!mapped.ok()) {
       std::fprintf(stderr, "v3 load: %s\n",
                    mapped.status().ToString().c_str());
@@ -151,11 +175,16 @@ int Run(int argc, char** argv) {
       v3_pitch == 0 ? 0.0
                     : static_cast<double>(v2_pitch) / static_cast<double>(v3_pitch);
 
-  Table t({"path", "bytes", "melody_payload", "open_ms", "vs_text"});
+  const auto per_melody = [n](std::int64_t bytes) {
+    return Table::Num(static_cast<double>(bytes) / static_cast<double>(n), 0);
+  };
+  Table t({"path", "bytes", "melody_payload", "open_ms", "vs_text",
+           "rss_B_per_melody"});
   t.AddRow({"v2 text (rebuild)", Table::Int(v2_text.size()),
-            Table::Int(v2_pitch), Table::Num(v2_ms), "1x"});
+            Table::Int(v2_pitch), Table::Num(v2_ms), "1x", per_melody(v2_rss)});
   t.AddRow({"v3 mapped", Table::Int(v3_image.size()), Table::Int(v3_pitch),
-            Table::Num(v3_ms), Table::Num(speedup, 1) + "x"});
+            Table::Num(v3_ms), Table::Num(speedup, 1) + "x",
+            per_melody(v3_rss)});
   t.Print();
   std::printf("\nbuild: %.0f ms for %zu melodies (%zu notes); digest %08x\n",
               build_ms, fresh.size(), total_notes, fresh.Digest());

@@ -10,8 +10,9 @@
 #      once with the dispatched SIMD tier and once under
 #      HUMDEX_FORCE_SCALAR=1, so both kernel paths race under TSan;
 #   3. ASan+UBSan build (-DHUMDEX_SANITIZE=address+undefined), running the
-#      storage, corruption, fault-injection, and fuzz tests so "no corrupt
-#      input throws, aborts, or touches bad memory" is mechanically checked —
+#      storage (v2 and v3), corruption, fault-injection, engine-remove and
+#      fuzz tests so "no corrupt input throws, aborts, or touches bad memory"
+#      is mechanically checked —
 #      plus the SIMD kernel property tests, the cascade power-set exactness
 #      harness, and the LB_Triangle property/metamorphic suites, once with
 #      the dispatched tier and once under HUMDEX_FORCE_SCALAR=1, so every
@@ -63,9 +64,10 @@ cmake -B build-asan -S . -DHUMDEX_SANITIZE=address+undefined >/dev/null
 cmake --build build-asan -j "$JOBS" --target \
   env_test corruption_test deadline_test storage_test fuzz_test melody_io_test \
   wav_io_test wal_test online_update_test kernel_test cascade_test \
-  property_test metamorphic_test legacy_checkpoint_test
+  property_test metamorphic_test legacy_checkpoint_test storage_v3_test \
+  delete_test
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-  -R 'PosixEnv|FaultInjectingEnv|Retry|Corruption|CrashSafety|Salvage|Deadline|Cancel|Shedding|Observability|Storage|Fuzz|MelodyIo|WavIo|WalTest|OnlineUpdate|Recovery|Kernel|Cascade|LbImproved|TriangleBound|Metamorphic'
+  -R 'PosixEnv|FaultInjectingEnv|Retry|Corruption|CrashSafety|Salvage|Deadline|Cancel|Shedding|Observability|Storage|Fuzz|MelodyIo|WavIo|WalTest|OnlineUpdate|Recovery|Kernel|Cascade|LbImproved|TriangleBound|Metamorphic|EngineRemove|SystemRemove'
 # Same kernel/cascade/triangle tests with the dispatcher demoted to the
 # scalar reference, so the scalar code paths also run under ASan+UBSan.
 HUMDEX_FORCE_SCALAR=1 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \

@@ -2,6 +2,10 @@
 
 #include <cstring>
 
+#if defined(__linux__)
+#include <sys/mman.h>
+#endif
+
 #include "ts/kernels.h"
 #include "util/status.h"
 
@@ -21,10 +25,31 @@ double* AllocRows(std::size_t items, std::size_t stride) {
 
 }  // namespace
 
+// A 100k-melody reopen fills a ~100MB series-row block; demand paging that
+// costs a kernel fault per 4KB page on first touch. For large blocks,
+// MAP_POPULATE prefaults the whole range in one syscall — about half the
+// cost of the fault-per-page path — before the decode pass writes it warm.
+std::shared_ptr<double> CandidateArena::AllocateRows(std::size_t rows,
+                                                     std::size_t stride) {
+  const std::size_t bytes = rows * stride * sizeof(double);
+  if (bytes == 0) return nullptr;
+#if defined(__linux__)
+  constexpr std::size_t kPopulateThreshold = std::size_t{8} << 20;
+  if (bytes >= kPopulateThreshold) {
+    void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_POPULATE, -1, 0);
+    if (p != MAP_FAILED) {
+      return std::shared_ptr<double>(
+          static_cast<double*>(p),
+          [bytes](double* q) { ::munmap(q, bytes); });
+    }
+  }
+#endif
+  return std::shared_ptr<double>(AllocRows(rows, stride), std::free);
+}
+
 CandidateArena::CandidateArena(std::size_t series_len, std::size_t band_k)
-    : series_len_(series_len),
-      band_k_(band_k),
-      stride_((series_len + 3) & ~static_cast<std::size_t>(3)) {
+    : series_len_(series_len), band_k_(band_k), stride_(RowStride(series_len)) {
   HUMDEX_CHECK(series_len > 0);
 }
 

@@ -1,7 +1,6 @@
 // Contiguous SoA storage for the query cascade's per-candidate data
-// (DESIGN.md §10). The LB filter used to chase ItemFor(id) through a
-// vector<Item> of separately heap-allocated Series; the arena instead packs,
-// per stored item,
+// (DESIGN.md §10), and the engine's only store of each item. Per stored item
+// it packs
 //
 //   - the normal-form series,
 //   - its precomputed k-envelope (lower and upper), used by the symmetric
@@ -9,8 +8,8 @@
 //
 // into flat 32-byte-aligned arrays (row stride padded to a multiple of
 // 4 doubles), so the filter streams memory in index order instead of
-// pointer-chasing. Rows mirror DtwQueryEngine::data_ positions exactly:
-// Append on Add, SwapRemove on Remove.
+// pointer-chasing. Rows follow the engine's positions: Append on Add,
+// SwapRemove on Remove.
 #pragma once
 
 #include <cstddef>
@@ -38,19 +37,29 @@ class CandidateArena {
   /// Padded row length in doubles (multiple of 4; rows are 32-byte aligned).
   std::size_t stride() const { return stride_; }
 
+  /// The stride() of an arena over series of length `series_len`.
+  static std::size_t RowStride(std::size_t series_len) {
+    return (series_len + 3) & ~static_cast<std::size_t>(3);
+  }
+
+  /// An uninitialized 32-byte-aligned block of `rows` rows of `stride`
+  /// doubles, for AttachPrebuilt's series rows; null when `rows` is 0.
+  static std::shared_ptr<double> AllocateRows(std::size_t rows,
+                                              std::size_t stride);
+
   void Reserve(std::size_t items);
 
   /// Append one item (computes its envelope). The new row index is
   /// size() - 1 afterwards.
   void Append(const Series& s);
 
-  /// Move the last row into `pos` and drop the last row — the engine's
-  /// swap-remove, applied to the mirrored storage.
+  /// Move the last row into `pos` and drop the last row (the engine's
+  /// swap-remove).
   void SwapRemove(std::size_t pos);
 
   /// v3 fast-open (DESIGN.md §14): adopt `n` prebuilt rows without copying.
   /// Every array is borrowed from `owner` — typically a checkpoint file
-  /// mapping plus the series decode buffer — and must already use this
+  /// mapping plus the decoded series row block — and must already use this
   /// arena's layout: series/env rows of stride() doubles with a zeroed pad
   /// tail. The arena is purely a reader of the borrowed memory: the first
   /// mutation (Append, SwapRemove, Reserve) materializes private owned

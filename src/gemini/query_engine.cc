@@ -2,16 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <queue>
 #include <unordered_map>
 #include <unordered_set>
-
-#if defined(__linux__)
-#include <sys/mman.h>
-#endif
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -39,29 +33,6 @@ obs::Counter& QueryCancelledCounter() {
   static obs::Counter& c =
       obs::MetricsRegistry::Default().GetCounter("query.cancelled");
   return c;
-}
-
-// A 100k-melody reopen packs a ~100MB series-row block; demand paging that
-// costs a kernel fault per 4KB page on first touch. For large blocks,
-// MAP_POPULATE prefaults the whole range in one syscall — about half the
-// cost of the fault-per-page path — before the memcpy pass writes it warm.
-std::shared_ptr<double> AllocateSeriesRows(std::size_t bytes) {
-#if defined(__linux__)
-  constexpr std::size_t kPopulateThreshold = std::size_t{8} << 20;
-  if (bytes >= kPopulateThreshold) {
-    void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_POPULATE, -1, 0);
-    if (p != MAP_FAILED) {
-      return std::shared_ptr<double>(
-          static_cast<double*>(p),
-          [bytes](double* q) { ::munmap(q, bytes); });
-    }
-  }
-#endif
-  double* p = static_cast<double*>(
-      std::aligned_alloc(kernels::kAlignment, bytes));
-  HUMDEX_CHECK(p != nullptr);
-  return std::shared_ptr<double>(p, std::free);
 }
 
 // The LB filter checks the clock only every kLbCheckStride candidates: an
@@ -153,9 +124,9 @@ void DtwQueryEngine::Add(Series normal_form, std::int64_t id) {
   }
   HUMDEX_CHECK_MSG(id_to_pos_[static_cast<std::size_t>(id)] == SIZE_MAX,
                    "duplicate id");
-  id_to_pos_[static_cast<std::size_t>(id)] = data_.size();
+  id_to_pos_[static_cast<std::size_t>(id)] = ids_.size();
   arena_.Append(normal_form);
-  data_.push_back({std::move(normal_form), id});
+  ids_.push_back(id);
 }
 
 void DtwQueryEngine::AddAll(std::vector<Series> normal_forms) {
@@ -166,70 +137,45 @@ void DtwQueryEngine::AddAll(std::vector<Series> normal_forms) {
 
 void DtwQueryEngine::AddAll(std::vector<Series> normal_forms,
                             const std::vector<std::int64_t>& ids) {
-  HUMDEX_CHECK_MSG(data_.empty(), "AddAll on a non-empty engine");
+  HUMDEX_CHECK_MSG(ids_.empty(), "AddAll on a non-empty engine");
   HUMDEX_CHECK(normal_forms.size() == ids.size());
-  std::int64_t max_id = -1;
-  for (std::int64_t id : ids) {
-    HUMDEX_CHECK(id >= 0);
-    max_id = std::max(max_id, id);
-  }
+  AssignIds(ids);
   feature_index_.AddBatch(normal_forms, ids);
-  id_to_pos_.assign(static_cast<std::size_t>(max_id + 1), SIZE_MAX);
-  data_.reserve(normal_forms.size());
   arena_.Reserve(normal_forms.size());
-  for (std::size_t i = 0; i < normal_forms.size(); ++i) {
-    HUMDEX_CHECK_MSG(id_to_pos_[static_cast<std::size_t>(ids[i])] == SIZE_MAX,
-                     "duplicate id");
-    id_to_pos_[static_cast<std::size_t>(ids[i])] = i;
-    arena_.Append(normal_forms[i]);
-    data_.push_back({std::move(normal_forms[i]), ids[i]});
-  }
+  for (const Series& s : normal_forms) arena_.Append(s);
 }
 
-void DtwQueryEngine::AddAllPrebuilt(std::vector<Series> normal_forms,
+void DtwQueryEngine::AddAllPrebuilt(std::shared_ptr<double> series_rows,
                                     const std::vector<std::int64_t>& ids,
                                     const double* env_lo, const double* env_hi,
                                     std::shared_ptr<const void> owner) {
-  HUMDEX_CHECK_MSG(data_.empty(), "AddAllPrebuilt on a non-empty engine");
-  HUMDEX_CHECK(normal_forms.size() == ids.size());
-  const std::size_t n = normal_forms.size();
-  std::int64_t max_id = -1;
-  for (std::int64_t id : ids) {
-    HUMDEX_CHECK(id >= 0);
-    max_id = std::max(max_id, id);
-  }
-  id_to_pos_.assign(static_cast<std::size_t>(max_id + 1), SIZE_MAX);
-  // The series rows are the one arena array copied rather than borrowed:
-  // they arrive freshly decoded as Series objects (data_ keeps those), so we
-  // pack one owned aligned block and bundle it with the caller's mapping
-  // keepalive, giving the arena a single owner for all borrowed storage.
+  HUMDEX_CHECK_MSG(ids_.empty(), "AddAllPrebuilt on a non-empty engine");
+  AssignIds(ids);
+  // One keepalive for all borrowed storage: the caller's decoded series rows
+  // and its mapping of the envelope rows.
   struct Bundle {
     std::shared_ptr<double> series_rows;
     std::shared_ptr<const void> mapping;
   };
-  auto bundle = std::make_shared<Bundle>();
-  bundle->mapping = std::move(owner);
-  const std::size_t stride = arena_.stride();
-  if (n > 0) {
-    bundle->series_rows = AllocateSeriesRows(n * stride * sizeof(double));
-    double* rows = bundle->series_rows.get();
-    for (std::size_t i = 0; i < n; ++i) {
-      HUMDEX_CHECK(normal_forms[i].size() == options_.normal_len);
-      double* row = rows + i * stride;
-      std::memcpy(row, normal_forms[i].data(),
-                  options_.normal_len * sizeof(double));
-      for (std::size_t j = options_.normal_len; j < stride; ++j) row[j] = 0.0;
-    }
+  const double* rows = series_rows.get();
+  arena_.AttachPrebuilt(
+      ids.size(), rows, env_lo, env_hi,
+      std::make_shared<Bundle>(Bundle{std::move(series_rows), std::move(owner)}));
+}
+
+void DtwQueryEngine::AssignIds(const std::vector<std::int64_t>& ids) {
+  std::int64_t max_id = -1;
+  for (std::int64_t id : ids) {
+    HUMDEX_CHECK(id >= 0);
+    max_id = std::max(max_id, id);
   }
-  const double* series_rows = bundle->series_rows.get();
-  arena_.AttachPrebuilt(n, series_rows, env_lo, env_hi, std::move(bundle));
-  data_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  id_to_pos_.assign(static_cast<std::size_t>(max_id + 1), SIZE_MAX);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
     HUMDEX_CHECK_MSG(id_to_pos_[static_cast<std::size_t>(ids[i])] == SIZE_MAX,
                      "duplicate id");
     id_to_pos_[static_cast<std::size_t>(ids[i])] = i;
-    data_.push_back({std::move(normal_forms[i]), ids[i]});
   }
+  ids_ = ids;
 }
 
 std::size_t DtwQueryEngine::PosForId(std::int64_t id) const {
@@ -240,27 +186,20 @@ std::size_t DtwQueryEngine::PosForId(std::int64_t id) const {
 }
 
 bool DtwQueryEngine::Remove(std::int64_t id) {
-  if (id < 0 || static_cast<std::size_t>(id) >= id_to_pos_.size()) return false;
-  std::size_t pos = id_to_pos_[static_cast<std::size_t>(id)];
+  const std::size_t pos = PosForId(id);
   if (pos == SIZE_MAX) return false;
-  bool removed = feature_index_.Remove(data_[pos].series, id);
+  // Read the row before SwapRemove moves the last row over it.
+  const std::span<const double> row = SeriesAt(pos);
+  bool removed = feature_index_.Remove(Series(row.begin(), row.end()), id);
   HUMDEX_CHECK_MSG(removed, "engine data and feature index out of sync");
-  // Swap-remove from the dense store and its arena mirror.
   arena_.SwapRemove(pos);
-  if (pos != data_.size() - 1) {
-    data_[pos] = std::move(data_.back());
-    id_to_pos_[static_cast<std::size_t>(data_[pos].id)] = pos;
+  if (pos != ids_.size() - 1) {
+    ids_[pos] = ids_.back();
+    id_to_pos_[static_cast<std::size_t>(ids_[pos])] = pos;
   }
-  data_.pop_back();
+  ids_.pop_back();
   id_to_pos_[static_cast<std::size_t>(id)] = SIZE_MAX;
   return true;
-}
-
-const DtwQueryEngine::Item& DtwQueryEngine::ItemFor(std::int64_t id) const {
-  HUMDEX_CHECK(id >= 0 && static_cast<std::size_t>(id) < id_to_pos_.size());
-  std::size_t pos = id_to_pos_[static_cast<std::size_t>(id)];
-  HUMDEX_CHECK(pos != SIZE_MAX);
-  return data_[pos];
 }
 
 std::vector<Neighbor> DtwQueryEngine::RangeQuery(const Series& query,
@@ -399,7 +338,7 @@ std::vector<Neighbor> DtwQueryEngine::KnnQuery(const Series& query, std::size_t 
                                                const QueryOptions& qopts,
                                                QueryStats* stats) const {
   HUMDEX_CHECK(query.size() == options_.normal_len);
-  if (data_.empty() || k == 0) {
+  if (ids_.empty() || k == 0) {
     if (stats != nullptr) *stats = QueryStats();
     return {};
   }
@@ -442,11 +381,11 @@ std::vector<Neighbor> DtwQueryEngine::KnnSeeds(const Series& query,
   QueryStats local;
   StopGuard guard(qopts);
   std::vector<Neighbor> seeds;
-  if (data_.empty() || k == 0 || guard.Stopped(&local)) {
+  if (ids_.empty() || k == 0 || guard.Stopped(&local)) {
     if (stats != nullptr) *stats = local;
     return seeds;
   }
-  k = std::min(k, data_.size());
+  k = std::min(k, ids_.size());
   HUMDEX_SPAN(span, "query.knn.seed");
   const std::uint64_t t_start = obs::MonotonicNowNs();
   IndexStats istats;
@@ -481,7 +420,7 @@ std::vector<Neighbor> DtwQueryEngine::KnnFinish(const Series& query,
                                                 const QueryOptions& qopts,
                                                 QueryStats* stats) const {
   HUMDEX_CHECK(query.size() == options_.normal_len);
-  if (data_.empty() || k == 0) {
+  if (ids_.empty() || k == 0) {
     if (stats != nullptr) *stats = QueryStats();
     return {};
   }
@@ -592,11 +531,11 @@ std::vector<Neighbor> DtwQueryEngine::KnnQueryOptimal(const Series& query,
   HUMDEX_CHECK(query.size() == options_.normal_len);
   QueryStats local;
   StopGuard guard(qopts);
-  if (data_.empty() || k == 0 || guard.Stopped(&local)) {
+  if (ids_.empty() || k == 0 || guard.Stopped(&local)) {
     if (stats != nullptr) *stats = local;
     return {};
   }
-  k = std::min(k, data_.size());
+  k = std::min(k, ids_.size());
   HUMDEX_SPAN(query_span, "query.knn_optimal");
   const std::uint64_t t_start = obs::MonotonicNowNs();
   std::uint64_t stage_mark = t_start;
@@ -621,6 +560,14 @@ std::vector<Neighbor> DtwQueryEngine::KnnQueryOptimal(const Series& query,
   // by a prefix offset, so a backend whose top-F set is not an exact prefix
   // of its top-2F set still has every candidate examined exactly once.
   std::unordered_set<std::int64_t> examined;
+  // LdtwDistance takes a Series: a candidate that reaches exact DTW is
+  // copied into one reused buffer.
+  Series row;
+  auto load_row = [this, &row](std::size_t pos) -> const Series& {
+    const std::span<const double> stored = SeriesAt(pos);
+    row.assign(stored.begin(), stored.end());
+    return row;
+  };
 
   // Candidates stream in increasing feature-space lower-bound order. The
   // index is re-queried with a doubling prefix; each re-query is cheap
@@ -635,7 +582,7 @@ std::vector<Neighbor> DtwQueryEngine::KnnQueryOptimal(const Series& query,
   bool done = false;
   while (!done) {
     if (guard.Stopped(&local)) break;
-    fetch = std::min(fetch, data_.size());
+    fetch = std::min(fetch, ids_.size());
     IndexStats istats;
     std::vector<Neighbor> ranked;
     {
@@ -671,7 +618,7 @@ std::vector<Neighbor> DtwQueryEngine::KnnQueryOptimal(const Series& query,
         ++local.lb_survivors;
         ++local.exact_dtw_calls;
         stage_mark = obs::MonotonicNowNs();
-        double d = LdtwDistance(query, data_[pos].series, band_k_);
+        double d = LdtwDistance(query, load_row(pos), band_k_);
         bill_stage(local.dtw_ns);
         best.push({id, d});
         continue;
@@ -708,7 +655,7 @@ std::vector<Neighbor> DtwQueryEngine::KnnQueryOptimal(const Series& query,
       ++local.lb_survivors;
       ++local.exact_dtw_calls;
       stage_mark = obs::MonotonicNowNs();
-      double d_sq = SquaredLdtwDistanceEarlyAbandon(query, data_[pos].series,
+      double d_sq = SquaredLdtwDistanceEarlyAbandon(query, load_row(pos),
                                                     band_k_, prune_sq);
       bill_stage(local.dtw_ns);
       if (d_sq <= prune_sq) {
@@ -720,8 +667,8 @@ std::vector<Neighbor> DtwQueryEngine::KnnQueryOptimal(const Series& query,
       }
     }
     if (done) break;
-    if (ranked.size() >= data_.size()) break;  // everything consumed
-    fetch = std::min(fetch * 2, data_.size());
+    if (ranked.size() >= ids_.size()) break;  // everything consumed
+    fetch = std::min(fetch * 2, ids_.size());
   }
 
   std::vector<Neighbor> out;
@@ -756,16 +703,22 @@ std::size_t DtwQueryEngine::RankOf(const Series& query,
                                    std::int64_t target_id) const {
   double target_dist = ExactDistance(query, target_id);
   std::size_t rank = 1;
-  for (const Item& item : data_) {
-    if (item.id == target_id) continue;
-    double d = LdtwDistance(query, item.series, band_k_);
+  Series row;
+  for (std::size_t pos = 0; pos < ids_.size(); ++pos) {
+    if (ids_[pos] == target_id) continue;
+    const std::span<const double> stored = SeriesAt(pos);
+    row.assign(stored.begin(), stored.end());
+    double d = LdtwDistance(query, row, band_k_);
     if (d < target_dist) ++rank;
   }
   return rank;
 }
 
 double DtwQueryEngine::ExactDistance(const Series& query, std::int64_t id) const {
-  return LdtwDistance(query, ItemFor(id).series, band_k_);
+  const std::size_t pos = PosForId(id);
+  HUMDEX_CHECK(pos != SIZE_MAX);
+  const std::span<const double> row = SeriesAt(pos);
+  return LdtwDistance(query, Series(row.begin(), row.end()), band_k_);
 }
 
 }  // namespace humdex

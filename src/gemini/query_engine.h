@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "gemini/candidate_arena.h"
@@ -169,14 +170,15 @@ class DtwQueryEngine {
   void AddAll(std::vector<Series> normal_forms,
               const std::vector<std::int64_t>& ids);
 
-  /// v3 fast-open bulk build (DESIGN.md §14): adopt decoded normal forms
-  /// plus the checkpoint's prebuilt per-item envelopes, borrowed zero-copy
-  /// from `owner` (a file mapping) instead of recomputed. The envelope layout
-  /// is CandidateArena::AttachPrebuilt's; rows follow the order of
-  /// `normal_forms`. Deliberately leaves the feature index empty: the caller
-  /// restores it next, from serialized pages or stored feature vectors
+  /// v3 fast-open bulk build (DESIGN.md §14): adopt a block of decoded
+  /// series rows (CandidateArena::AllocateRows, one row per id, pad tails
+  /// zeroed) plus the checkpoint's prebuilt per-item envelopes, borrowed
+  /// zero-copy from `owner` (a file mapping) instead of recomputed. The
+  /// layout is CandidateArena::AttachPrebuilt's; rows follow the order of
+  /// `ids`. Deliberately leaves the feature index empty: the caller restores
+  /// it next, from serialized pages or stored feature vectors
   /// (mutable_feature_index()). Only valid while the engine is empty.
-  void AddAllPrebuilt(std::vector<Series> normal_forms,
+  void AddAllPrebuilt(std::shared_ptr<double> series_rows,
                       const std::vector<std::int64_t>& ids,
                       const double* env_lo, const double* env_hi,
                       std::shared_ptr<const void> owner);
@@ -185,16 +187,19 @@ class DtwQueryEngine {
   /// Subsequent queries behave as if it was never added.
   bool Remove(std::int64_t id);
 
-  std::size_t size() const { return data_.size(); }
+  std::size_t size() const { return ids_.size(); }
   std::size_t band_radius() const { return band_k_; }
 
-  /// Read access for the persistence layer: the SoA arena (envelopes are
-  /// serialized straight out of it) and per-position rows.
+  /// Read access for the persistence layer: the SoA arena (series and
+  /// envelopes are serialized straight out of it) and per-position rows.
   const CandidateArena& arena() const { return arena_; }
-  /// Arena/data position of `id`, or SIZE_MAX when absent.
+  /// Arena row of `id`, or SIZE_MAX when absent.
   std::size_t PosForId(std::int64_t id) const;
-  const Series& SeriesAt(std::size_t pos) const { return data_[pos].series; }
-  std::int64_t IdAt(std::size_t pos) const { return data_[pos].id; }
+  /// The stored normal form at arena row `pos`: a view of the row itself
+  /// (the engine keeps no other copy), valid until the next Add or Remove.
+  std::span<const double> SeriesAt(std::size_t pos) const {
+    return {arena_.series(pos), options_.normal_len};
+  }
 
   /// The backing feature index — persistence hooks (page serialization on
   /// the way out, AttachRStarTree / AddBatchFeatures after AddAllPrebuilt).
@@ -310,12 +315,9 @@ class DtwQueryEngine {
   double ExactDistance(const Series& query, std::int64_t id) const;
 
  private:
-  struct Item {
-    Series series;
-    std::int64_t id;
-  };
-
-  const Item& ItemFor(std::int64_t id) const;
+  /// Bulk-build bookkeeping: rows 0..n-1 hold `ids` in order (each
+  /// non-negative and unique).
+  void AssignIds(const std::vector<std::int64_t>& ids);
 
   /// The shared range cascade. `skip_ids` (sorted ascending, may be null)
   /// are candidates whose exact distances the caller already holds — the kNN
@@ -329,9 +331,9 @@ class DtwQueryEngine {
   QueryEngineOptions options_;
   std::size_t band_k_;
   FeatureIndex feature_index_;
-  std::vector<Item> data_;
-  std::vector<std::size_t> id_to_pos_;  // dense id -> position map
-  CandidateArena arena_;  // SoA mirror of data_ for the filter cascade
+  std::vector<std::int64_t> ids_;       // arena row -> id
+  std::vector<std::size_t> id_to_pos_;  // dense id -> arena row map
+  CandidateArena arena_;  // the only store of each series and its envelope
 };
 
 }  // namespace humdex

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <future>
+#include <span>
 #include <string_view>
 
 #include "gemini/query_engine.h"
@@ -57,10 +58,6 @@ constexpr std::size_t kMaxNameLen = 1 << 20;
 constexpr std::size_t kMaxNotesPerMelody = 1 << 22;
 constexpr std::size_t kMaxTotalNotes = 1 << 26;
 constexpr std::size_t kMaxDecodedDoubles = std::size_t{1} << 31;
-
-inline std::size_t RowStride(std::size_t len) {
-  return (len + 3) & ~static_cast<std::size_t>(3);
-}
 
 void PutU32(std::string* out, std::uint32_t v) {
   char b[4];
@@ -394,7 +391,8 @@ std::string SerializeQbhCorpusV3(
     s.reserve(n * opt.feature_dim * sizeof(double));
     const FeatureScheme& scheme = engine.feature_index().scheme();
     for (std::size_t i = 0; i < n; ++i) {
-      Series f = scheme.Features(engine.SeriesAt(pos[i]));
+      const std::span<const double> row = engine.SeriesAt(pos[i]);
+      Series f = scheme.Features(Series(row.begin(), row.end()));
       HUMDEX_CHECK(f.size() == opt.feature_dim);
       s.append(reinterpret_cast<const char*>(f.data()),
                f.size() * sizeof(double));
@@ -559,34 +557,38 @@ Result<QbhSystem> ParseQbhDatabaseV3(std::shared_ptr<MemorySource> source) {
         return Status::OK();
       });
 
-  // NORMALS: the decoded normal forms (the only non-zero-copy bulk data).
-  if (n * opt.normal_len > kMaxDecodedDoubles) {
-    return Corruption("v3 normal-form payload too large");
-  }
-  std::vector<Series> normals(n);
-  {
-    Cursor c{secs[kSecNormals].bytes};
-    for (Series& s : normals) {
-      Status st = codec::DecodeSeries(c.in, &c.pos, opt.normal_len, &s);
-      if (!st.ok()) return Corruption(st.message());
-      for (double v : s) {
-        if (!std::isfinite(v)) {
-          return Corruption("non-finite v3 normal-form value");
-        }
-      }
-    }
-    if (!c.done()) return Corruption("trailing bytes in v3 normals section");
-  }
-
   // ENVELOPES are served zero-copy from the source. The section offset is
-  // page-aligned (verified above), so the cast is aligned.
-  const std::size_t stride = RowStride(opt.normal_len);
+  // page-aligned (verified above), so the cast is aligned. Its size is
+  // checked first: it bounds the series row block allocated below by the
+  // file's own size.
+  const std::size_t stride = CandidateArena::RowStride(opt.normal_len);
   if (secs[kSecEnvelopes].length != 2 * n * stride * sizeof(double)) {
     return Corruption("v3 envelope section has the wrong size");
   }
   const double* env_lo =
       reinterpret_cast<const double*>(secs[kSecEnvelopes].bytes.data());
   const double* env_hi = env_lo + n * stride;
+
+  // NORMALS decode straight into the arena's series row block (the only
+  // bulk data not served from the mapping), pad tails zeroed.
+  if (n * opt.normal_len > kMaxDecodedDoubles) {
+    return Corruption("v3 normal-form payload too large");
+  }
+  std::shared_ptr<double> series_rows = CandidateArena::AllocateRows(n, stride);
+  {
+    Cursor c{secs[kSecNormals].bytes};
+    for (std::size_t i = 0; i < n; ++i) {
+      double* row = series_rows.get() + i * stride;
+      Status st = codec::DecodeSeries(c.in, &c.pos, opt.normal_len, row);
+      if (!st.ok()) return Corruption(st.message());
+      if (!std::all_of(row, row + opt.normal_len,
+                       [](double v) { return std::isfinite(v); })) {
+        return Corruption("non-finite v3 normal-form value");
+      }
+      std::fill(row + opt.normal_len, row + stride, 0.0);
+    }
+    if (!c.done()) return Corruption("trailing bytes in v3 normals section");
+  }
 
   // Scheme: data-independent kinds are rebuilt from the options; SVD from
   // its fitted coefficient matrix, which fully determines its behavior.
@@ -618,7 +620,7 @@ Result<QbhSystem> ParseQbhDatabaseV3(std::shared_ptr<MemorySource> source) {
   eopts.index.kind = opt.index;
   eopts.cascade = opt.cascade;
   auto engine = std::make_unique<DtwQueryEngine>(scheme, eopts);
-  engine->AddAllPrebuilt(std::move(normals), ids, env_lo, env_hi, source);
+  engine->AddAllPrebuilt(std::move(series_rows), ids, env_lo, env_hi, source);
 
   if (rstar) {
     std::unique_ptr<RStarTree> tree;

@@ -51,7 +51,7 @@ inline int BitWidth(std::uint64_t v) {
   return w;
 }
 
-void AppendRaw(const Series& s, std::string* out) {
+void AppendRaw(std::span<const double> s, std::string* out) {
   out->push_back(static_cast<char>(kModeRaw));
   for (double v : s) AppendDouble(out, v);
 }
@@ -65,7 +65,7 @@ std::vector<std::int64_t>& Scratch() {
 
 }  // namespace
 
-std::size_t EncodeSeries(const Series& s, std::string* out) {
+std::size_t EncodeSeries(std::span<const double> s, std::string* out) {
   const std::size_t before = out->size();
   if (s.empty()) {
     out->push_back(static_cast<char>(kModeRaw));

@@ -33,6 +33,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -47,7 +48,7 @@ inline constexpr int kScaleLog2 = 20;
 
 /// Append the encoded form of `s` to *out (never fails: unpackable series
 /// are stored raw). Returns the number of bytes appended.
-std::size_t EncodeSeries(const Series& s, std::string* out);
+std::size_t EncodeSeries(std::span<const double> s, std::string* out);
 
 /// Upper bound on EncodeSeries output for an n-element series.
 inline std::size_t MaxEncodedSize(std::size_t n) { return 2 + 8 + n * 9; }

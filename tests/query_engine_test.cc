@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <span>
 #include <string_view>
 
 #include "gemini/query_engine.h"
+#include "music/song_generator.h"
+#include "qbh/qbh_system.h"
 #include "ts/dtw.h"
+#include "util/env.h"
 #include "util/random.h"
 
 namespace humdex {
@@ -245,6 +250,89 @@ TEST(QueryEngineTest, KnnFinishDropsASeedRemovedBeforeIt) {
     EXPECT_EQ(got[i].id, all[i].id);
     EXPECT_EQ(got[i].distance, all[i].distance);
   }
+}
+
+// Every row of `engine` is `live`'s series for exactly one id, and
+// SeriesAt(pos) is a view of the arena row itself: the engine keeps no
+// second copy of any series.
+void ExpectSeriesAtIsTheArenaRow(const DtwQueryEngine& engine,
+                                 const std::map<std::int64_t, Series>& live) {
+  ASSERT_EQ(engine.size(), live.size());
+  ASSERT_EQ(engine.arena().size(), live.size());
+  std::vector<bool> seen(engine.size(), false);
+  for (const auto& [id, series] : live) {
+    const std::size_t pos = engine.PosForId(id);
+    ASSERT_LT(pos, engine.size()) << "id " << id;
+    EXPECT_FALSE(seen[pos]) << "row " << pos << " holds two ids";
+    seen[pos] = true;
+    const std::span<const double> row = engine.SeriesAt(pos);
+    EXPECT_EQ(row.data(), engine.arena().series(pos)) << "row " << pos;
+    EXPECT_EQ(row.size(), engine.arena().series_len());
+    EXPECT_TRUE(std::equal(row.begin(), row.end(), series.begin(),
+                           series.end()))
+        << "id " << id;
+    EXPECT_EQ(engine.ExactDistance(series, id), 0.0) << "id " << id;
+  }
+}
+
+TEST(QueryEngineTest, SeriesAtIsTheArenaRow) {
+  Rng rng(31);
+  std::map<std::int64_t, Series> live;
+  std::vector<Series> corpus;
+  for (std::int64_t i = 0; i < 40; ++i) {
+    corpus.push_back(RandomWalk(&rng, 128));
+    live[i] = corpus.back();
+  }
+  DtwQueryEngine engine(MakeNewPaaScheme(128, 8), QueryEngineOptions());
+  engine.AddAll(corpus);
+  ExpectSeriesAtIsTheArenaRow(engine, live);
+
+  live[57] = RandomWalk(&rng, 128);
+  engine.Add(live[57], 57);
+  ExpectSeriesAtIsTheArenaRow(engine, live);
+
+  // Removing a middle row swaps the last row (id 57's) into it.
+  const std::size_t middle = engine.PosForId(20);
+  ASSERT_TRUE(engine.Remove(20));
+  live.erase(20);
+  EXPECT_EQ(engine.PosForId(20), SIZE_MAX);
+  EXPECT_EQ(engine.PosForId(57), middle);
+  ExpectSeriesAtIsTheArenaRow(engine, live);
+
+  // The row -> id array must have followed that swap: drop every row after
+  // id 57's from the end (no swaps), then remove row 0, which moves the
+  // last row (id 57's, named only by that array) into it.
+  for (std::int64_t id = 39; id > 20; --id) {
+    ASSERT_TRUE(engine.Remove(id));
+    live.erase(id);
+  }
+  ASSERT_EQ(engine.PosForId(57), engine.size() - 1);
+  ASSERT_TRUE(engine.Remove(0));
+  live.erase(0);
+  EXPECT_EQ(engine.PosForId(57), 0u);
+  ExpectSeriesAtIsTheArenaRow(engine, live);
+
+  // A mapped v3 open decodes each series straight into the arena's row block.
+  Env* env = Env::Default();
+  const std::string path = ::testing::TempDir() + "/series_at_arena_row.db";
+  QbhOptions opt;
+  opt.format = CheckpointFormat::kV3Binary;
+  QbhSystem built(opt);
+  SongGenerator gen(5);
+  for (Melody& m : gen.GeneratePhrases(25)) built.AddMelody(std::move(m));
+  built.Build();
+  ASSERT_TRUE(built.Attach(path, env).ok());
+  std::map<std::int64_t, Series> stored;
+  for (std::int64_t id = 0; id < 25; ++id) {
+    const auto row = built.engine()->SeriesAt(built.engine()->PosForId(id));
+    stored[id] = Series(row.begin(), row.end());
+  }
+  Result<QbhSystem> opened = QbhSystem::Open(path, env);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_TRUE(opened.value().engine()->arena().borrowed());
+  ExpectSeriesAtIsTheArenaRow(*opened.value().engine(), stored);
+  env->Delete(path);
+  env->Delete(QbhSystem::WalPathFor(path));
 }
 
 TEST(QueryEngineTest, StatsPageAccessesPositive) {

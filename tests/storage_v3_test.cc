@@ -5,8 +5,10 @@
 // all-bits-flip / all-truncations matrix) lives in corruption_test.cc.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -71,11 +73,26 @@ SectionSpan FindSection(const std::string& image, std::uint32_t type) {
   return {};
 }
 
+std::uint64_t Bits(double d) { return std::bit_cast<std::uint64_t>(d); }
+
+// The ids `system` holds, ascending.
+std::vector<std::int64_t> LiveIds(const QbhSystem& system) {
+  std::vector<std::int64_t> live;
+  const std::vector<std::optional<Melody>> corpus = system.CorpusSnapshot();
+  for (std::size_t id = 0; id < corpus.size(); ++id) {
+    if (corpus[id].has_value()) live.push_back(static_cast<std::int64_t>(id));
+  }
+  return live;
+}
+
+// kNN and range answers over `hums` hums of `a`'s live melodies agree in ids
+// and distance bits.
 void ExpectSameAnswers(const QbhSystem& a, const QbhSystem& b,
                        std::uint64_t hum_seed, std::size_t hums) {
+  const std::vector<std::int64_t> live = LiveIds(a);
   Hummer hummer(HummerProfile::Good(), hum_seed);
   for (std::size_t q = 0; q < hums; ++q) {
-    std::int64_t target = static_cast<std::int64_t>(q * 7 % a.size());
+    std::int64_t target = live[q * 7 % live.size()];
     Series hum = hummer.Hum(*a.melody(target));
     auto ma = a.Query(hum, 5);
     auto mb = b.Query(hum, 5);
@@ -84,7 +101,8 @@ void ExpectSameAnswers(const QbhSystem& a, const QbhSystem& b,
       EXPECT_EQ(ma[i].id, mb[i].id) << "hum " << q << " rank " << i;
       // Bit-identical, not approximately equal: the mapped corpus serves the
       // same envelopes and features the builder computed.
-      EXPECT_EQ(ma[i].distance, mb[i].distance) << "hum " << q << " rank " << i;
+      EXPECT_EQ(Bits(ma[i].distance), Bits(mb[i].distance))
+          << "hum " << q << " rank " << i;
     }
     if (!ma.empty()) {
       double eps = ma.back().distance * 1.5 + 1.0;
@@ -93,7 +111,7 @@ void ExpectSameAnswers(const QbhSystem& a, const QbhSystem& b,
       ASSERT_EQ(ra.size(), rb.size()) << "range hum " << q;
       for (std::size_t i = 0; i < ra.size(); ++i) {
         EXPECT_EQ(ra[i].id, rb[i].id);
-        EXPECT_EQ(ra[i].distance, rb[i].distance);
+        EXPECT_EQ(Bits(ra[i].distance), Bits(rb[i].distance));
       }
     }
   }
@@ -243,6 +261,56 @@ TEST(StorageV3Test, WalMutationsAfterMappedOpenSurviveReopen) {
   env->Delete(QbhSystem::WalPathFor(path));
 }
 
+TEST(StorageV3Test, MutationsAfterMappedOpenMatchAFreshBuild) {
+  Env* env = Env::Default();
+  const std::string path = ::testing::TempDir() + "/v3_mutate.db";
+  {
+    QbhSystem system = MakeSystem(V3Options(), 30, /*seed=*/17);
+    ASSERT_TRUE(system.Attach(path, env).ok());
+  }
+  Result<QbhSystem> r = QbhSystem::Open(path, env);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  QbhSystem& mapped = r.value();
+  ASSERT_TRUE(mapped.engine()->arena().borrowed());
+
+  // v3 rows follow ascending ids. Removing the last id moves nothing;
+  // removing the first then moves id 28's row into row 0, and removing a
+  // middle one moves id 27's row into row 15.
+  const DtwQueryEngine& engine = *mapped.engine();
+  ASSERT_TRUE(mapped.Remove(29).ok());
+  ASSERT_TRUE(mapped.Remove(0).ok());
+  ASSERT_TRUE(mapped.Remove(15).ok());
+  EXPECT_EQ(engine.PosForId(28), 0u);
+  EXPECT_EQ(engine.PosForId(27), 15u);
+  SongGenerator gen(71);
+  for (Melody& m : gen.GeneratePhrases(2)) {
+    ASSERT_TRUE(mapped.Insert(std::move(m)).ok());
+  }
+
+  // A fresh build over the same live corpus under the same ids.
+  QbhSystem fresh(V3Options());
+  const std::vector<std::optional<Melody>> corpus = mapped.CorpusSnapshot();
+  for (std::int64_t id : LiveIds(mapped)) {
+    ASSERT_TRUE(
+        fresh.AddMelodyWithId(*corpus[static_cast<std::size_t>(id)], id).ok());
+  }
+  fresh.ReserveIds(mapped.next_id());
+  fresh.Build();
+  ASSERT_EQ(fresh.Digest(), mapped.Digest());
+
+  ExpectSameAnswers(mapped, fresh, /*hum_seed=*/19, /*hums=*/16);
+  Hummer hummer(HummerProfile::Good(), 23);
+  for (std::int64_t moved : {28, 27}) {
+    const Series q = mapped.HumToNormalForm(hummer.Hum(*mapped.melody(moved)));
+    ASSERT_FALSE(q.empty());
+    EXPECT_EQ(Bits(mapped.engine()->ExactDistance(q, moved)),
+              Bits(fresh.engine()->ExactDistance(q, moved)))
+        << "id " << moved;
+  }
+  env->Delete(path);
+  env->Delete(QbhSystem::WalPathFor(path));
+}
+
 TEST(StorageV3Test, TombstonesAndNextIdSurviveTheBinaryRoundTrip) {
   std::string path = ::testing::TempDir() + "/v3_tombstones.db";
   Env* env = Env::Default();
@@ -285,7 +353,7 @@ TEST(StorageV3Test, SalvageDropsOnlyTheDamagedMelodyFrame) {
   std::string image = SerializeQbhDatabase(original);
   // Damage melody 1 by flipping a byte of its name, which is stored raw
   // inside its checksummed frame in the MELODIES section.
-  const std::string& name = original.melody(1)->name;
+  const std::string name = original.melody(1)->name;
   std::size_t at = image.find(name, 4096);
   ASSERT_NE(at, std::string::npos);
   image[at] = static_cast<char>(image[at] ^ 0x40);
@@ -346,7 +414,7 @@ TEST(StorageV3Test, OpenSalvageRecoversADamagedV3Checkpoint) {
 
   std::string image;
   ASSERT_TRUE(env->ReadFile(path, &image).ok());
-  const std::string& name = original.melody(4)->name;
+  const std::string name = original.melody(4)->name;
   std::size_t at = image.find(name, 4096);
   ASSERT_NE(at, std::string::npos);
   image[at] = static_cast<char>(image[at] ^ 0x20);
