@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
   }
 
   // ParseQbhDatabase returns a built system, so the v3 serializer has every
-  // derived section (envelopes, features/index) on hand.
+  // derived section (normal forms, features/index) on hand.
   humdex::QbhOptions out_opt = opt;
   out_opt.format = to == "v3" ? humdex::CheckpointFormat::kV3Binary
                               : humdex::CheckpointFormat::kV2Text;

@@ -4,8 +4,9 @@
 #      ablations (cascade stages and kernels; mapped v3 checkpoint open);
 #   2. ThreadSanitizer build (-DHUMDEX_SANITIZE=thread), running the
 #      parallel-read-path tests (thread pool, batch queries, buffer pool
-#      stress) and the TCP server's start/serve/stop tests (accept thread
-#      vs Stop, connection threads) so the thread-safety guarantees are
+#      stress), the TCP server's start/serve/stop tests (accept thread
+#      vs Stop, connection threads) and the v3 open (envelope rows derived
+#      on several threads) so the thread-safety guarantees are
 #      mechanically checked —
 #      once with the dispatched SIMD tier and once under
 #      HUMDEX_FORCE_SCALAR=1, so both kernel paths race under TSan;
@@ -13,11 +14,13 @@
 #      storage (v2 and v3), corruption, fault-injection, engine-remove and
 #      fuzz tests so "no corrupt input throws, aborts, or touches bad memory"
 #      is mechanically checked —
-#      plus the SIMD kernel property tests, the cascade power-set exactness
-#      harness, and the LB_Triangle property/metamorphic suites, once with
+#      plus the SIMD kernel property tests, the envelope builder and
+#      outward-rounding tests, the cascade power-set exactness harness, and
+#      the LB_Triangle property/metamorphic suites, once with
 #      the dispatched tier and once under HUMDEX_FORCE_SCALAR=1, so every
 #      kernel variant runs under the sanitizers;
-#   4. HUMDEX_SIMD=OFF build, running the kernel and cascade tests to prove
+#   4. HUMDEX_SIMD=OFF build, running the kernel, envelope and cascade tests
+#      to prove
 #      the scalar-only configuration stays exact and buildable;
 #   5. chaos stage: the sharded serving engine's fault-injection harness
 #      (including the replica-group suite: append crashes, mid-ship crashes,
@@ -51,13 +54,13 @@ echo "== [2/5] ThreadSanitizer build + concurrency tests =="
 cmake -B build-tsan -S . -DHUMDEX_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" --target \
   thread_pool_test parallel_query_test buffer_pool_stress_test buffer_pool_test \
-  metrics_stress_test online_update_test server_test
+  metrics_stress_test online_update_test server_test storage_v3_test
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'ThreadPool|ParallelQuery|QbhQueryBatch|BufferPool|MetricsStress|ConcurrentWriter|HumdexServer'
+  -R 'ThreadPool|ParallelQuery|QbhQueryBatch|BufferPool|MetricsStress|ConcurrentWriter|HumdexServer|StorageV3'
 # Same concurrency tests with the dispatcher demoted to the scalar
 # reference, so both kernel paths race under TSan.
 HUMDEX_FORCE_SCALAR=1 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'ThreadPool|ParallelQuery|QbhQueryBatch|BufferPool|MetricsStress|ConcurrentWriter|HumdexServer'
+  -R 'ThreadPool|ParallelQuery|QbhQueryBatch|BufferPool|MetricsStress|ConcurrentWriter|HumdexServer|StorageV3'
 
 echo "== [3/5] ASan+UBSan build + robustness tests =="
 cmake -B build-asan -S . -DHUMDEX_SANITIZE=address+undefined >/dev/null
@@ -65,20 +68,20 @@ cmake --build build-asan -j "$JOBS" --target \
   env_test corruption_test deadline_test storage_test fuzz_test melody_io_test \
   wav_io_test wal_test online_update_test kernel_test cascade_test \
   property_test metamorphic_test legacy_checkpoint_test storage_v3_test \
-  delete_test
+  delete_test envelope_test
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-  -R 'PosixEnv|FaultInjectingEnv|Retry|Corruption|CrashSafety|Salvage|Deadline|Cancel|Shedding|Observability|Storage|Fuzz|MelodyIo|WavIo|WalTest|OnlineUpdate|Recovery|Kernel|Cascade|LbImproved|TriangleBound|Metamorphic|EngineRemove|SystemRemove'
-# Same kernel/cascade/triangle tests with the dispatcher demoted to the
-# scalar reference, so the scalar code paths also run under ASan+UBSan.
+  -R 'PosixEnv|FaultInjectingEnv|Retry|Corruption|CrashSafety|Salvage|Deadline|Cancel|Shedding|Observability|Storage|Fuzz|MelodyIo|WavIo|WalTest|OnlineUpdate|Recovery|Kernel|Cascade|LbImproved|TriangleBound|Metamorphic|EngineRemove|SystemRemove|Envelope'
+# Same kernel/cascade/triangle/envelope tests with the dispatcher demoted to
+# the scalar reference, so the scalar code paths also run under ASan+UBSan.
 HUMDEX_FORCE_SCALAR=1 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-  -R 'Kernel|Cascade|LbImproved|TriangleBound|Metamorphic'
+  -R 'Kernel|Cascade|LbImproved|TriangleBound|Metamorphic|Envelope'
 
 echo "== [4/5] HUMDEX_SIMD=OFF build + kernel/cascade tests =="
 cmake -B build-nosimd -S . -DHUMDEX_SIMD=OFF >/dev/null
 cmake --build build-nosimd -j "$JOBS" --target kernel_test cascade_test \
-  lower_bound_test query_engine_test
+  lower_bound_test query_engine_test envelope_test
 ctest --test-dir build-nosimd --output-on-failure -j "$JOBS" \
-  -R 'Kernel|Cascade|LbImproved|LowerBound|QueryEngine'
+  -R 'Kernel|Cascade|LbImproved|LowerBound|QueryEngine|Envelope'
 
 echo "== [5/5] chaos: sharded + replicated serving under ASan+UBSan =="
 cmake --build build-asan -j "$JOBS" --target \

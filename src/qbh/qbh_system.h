@@ -33,7 +33,7 @@ enum class SchemeKind { kNewPaa, kKeoghPaa, kDft, kDwt, kSvd };
 
 /// On-disk checkpoint format (DESIGN.md §14). kV2Text is the line-oriented
 /// text format with a CRC32C trailer; kV3Binary the page-aligned,
-/// section-tabled binary image that Open() maps and serves zero-copy. Both
+/// section-tabled binary image that Open() maps and adopts in place. Both
 /// load transparently — this option only selects what Checkpoint() writes.
 enum class CheckpointFormat { kV2Text, kV3Binary };
 
@@ -114,8 +114,7 @@ class QbhSystem {
   /// a checkpoint's prebuilt sections (AddAllPrebuilt + restored index)
   /// instead of running Build(). Valid once, on an unbuilt system whose
   /// melodies are all registered; the engine must hold exactly the system's
-  /// live melodies. The engine may borrow memory from a file mapping — its
-  /// arena materializes owned copies on first mutation.
+  /// live melodies.
   void InstallPrebuiltEngine(std::unique_ptr<DtwQueryEngine> engine);
 
   /// The built engine, for the persistence layer (serializing arenas and

@@ -1,10 +1,11 @@
 // The v3 binary checkpoint format (DESIGN.md §14): a page-aligned,
 // section-tabled, CRC32C-checksummed image of the whole system — corpus,
-// options, and every derived structure the query cascade needs (normal
-// forms, envelopes, feature vectors or serialized R*-tree pages, fitted SVD
-// coefficients). Open() maps the file
-// and serves the flat sections zero-copy instead of re-deriving them, which
-// turns a million-melody open from a rebuild into a page-in.
+// options, and the derived structures that are costly to rebuild (normal
+// forms, feature vectors or serialized R*-tree pages, fitted SVD
+// coefficients). Open() maps the file and adopts those sections instead of
+// re-deriving them; only the per-item Keogh envelopes, cheap to recompute,
+// are derived from the normal forms in parallel. That turns a
+// million-melody open from a rebuild into a page-in.
 //
 // Layout (all integers little-endian):
 //   [0,16)   magic "humdex-db v3\n" + 3 zero bytes
@@ -44,10 +45,10 @@ std::string SerializeQbhCorpusV3(
 
 /// Strict parse of the v3 image held by `source` (file mapping or owned
 /// buffer). Every section CRC is verified; any inconsistency is kCorruption
-/// and never an abort. On success the system's engine borrows the envelope
-/// section zero-copy from `source`, which is kept alive until the engine is
-/// destroyed or first mutated. Sections of removed cascade stages in older
-/// images are checksummed and otherwise ignored.
+/// and never an abort. On success the system's engine owns everything it
+/// holds; nothing points into `source`. Sections older writers emitted and
+/// this one no longer does (removed cascade stages, stored envelopes) are
+/// checksummed and otherwise ignored.
 Result<QbhSystem> ParseQbhDatabaseV3(std::shared_ptr<MemorySource> source);
 
 /// Best-effort parse: rebuilds the system from the per-frame-checksummed

@@ -164,6 +164,35 @@ std::size_t EncodeSeries(std::span<const double> s, std::string* out) {
   return out->size() - before;
 }
 
+Status SkipSeries(std::string_view in, std::size_t* pos, std::size_t n) {
+  std::size_t p = *pos;
+  if (p >= in.size()) return Status::Corruption("series blob truncated");
+  const std::uint8_t mode = static_cast<std::uint8_t>(in[p++]);
+  std::size_t body = n * 8;
+  if (mode == kModePacked || mode == kModePackedEx) {
+    if (n == 0) return Status::Corruption("packed blob for an empty series");
+    const std::size_t header_bytes = mode == kModePackedEx ? 2 + 4 + 8 : 2 + 8;
+    if (in.size() - p < header_bytes) {
+      return Status::Corruption("packed header truncated");
+    }
+    const std::size_t width = static_cast<std::uint8_t>(in[p]);
+    if (width > kMaxBitWidth) {
+      return Status::Corruption("packed bit width out of range");
+    }
+    std::uint32_t exception_count = 0;
+    if (mode == kModePackedEx) {
+      std::memcpy(&exception_count, in.data() + p + 2, 4);
+    }
+    body = header_bytes + ((n - 1) * width + 7) / 8 +
+           static_cast<std::size_t>(exception_count) * 12;
+  } else if (mode != kModeRaw) {
+    return Status::Corruption("unknown series codec mode");
+  }
+  if (in.size() - p < body) return Status::Corruption("series blob truncated");
+  *pos = p + body;
+  return Status::OK();
+}
+
 Status DecodeSeries(std::string_view in, std::size_t* pos, std::size_t n,
                     double* out) {
   std::size_t p = *pos;

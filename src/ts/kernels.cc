@@ -20,7 +20,9 @@ namespace {
 // checkpoint cadence mirror the SIMD variants exactly (see kernels.h).
 // ---------------------------------------------------------------------------
 
-double SqDistToBoxScalar(const double* x, const double* lo, const double* hi,
+// `Box` is double, or float widened to double (exact) element by element.
+template <class Box>
+double SqDistToBoxScalar(const double* x, const Box* lo, const Box* hi,
                          std::size_t n, double abandon_at_sq) {
   double acc[4] = {0.0, 0.0, 0.0, 0.0};
   const std::size_t n4 = n & ~std::size_t{3};
@@ -30,7 +32,8 @@ double SqDistToBoxScalar(const double* x, const double* lo, const double* hi,
         j + kAbandonBlock < n4 ? j + kAbandonBlock : n4;
     for (; j < block_end; j += 4) {
       for (std::size_t l = 0; l < 4; ++l) {
-        double d = detail::BoxExcess(x[j + l], lo[j + l], hi[j + l]);
+        double d = detail::BoxExcess(x[j + l], static_cast<double>(lo[j + l]),
+                                     static_cast<double>(hi[j + l]));
         acc[l] += d * d;
       }
     }
@@ -63,8 +66,9 @@ void DeltaDecodeScalar(const std::int64_t* m, std::size_t n, double v0,
 }
 
 constexpr KernelTable kScalarTable = {
-    SqDistToBoxScalar,
-    SqDistToBoxScalar,  // MINDIST-to-rect is the same clamp-excess sum
+    SqDistToBoxScalar<double>,
+    SqDistToBoxScalar<double>,  // MINDIST-to-rect is the same clamp-excess sum
+    SqDistToBoxScalar<float>,
     detail::LdtwLanes<ScalarLane>,
     DeltaDecodeScalar,
     "scalar",

@@ -2,7 +2,9 @@
 // (see DESIGN.md §10):
 //
 //   1. early-abandoning squared distance-to-envelope — the LB_Keogh /
-//      LB_Improved inner loop (ts/envelope.h, ts/lower_bound.h);
+//      LB_Improved inner loop (ts/envelope.h, ts/lower_bound.h) — over a
+//      double box, and over the candidate arena's outward-rounded float
+//      envelope rows, widened to double in registers;
 //   2. squared MINDIST from a feature vector to a query rectangle — the
 //      feature-index candidate test (index/rect.cc). Pointwise this is the
 //      same clamp-excess computation as (1), so both entries may share an
@@ -51,6 +53,13 @@ using SqDistToBoxFn = double (*)(const double* x, const double* lo,
                                  const double* hi, std::size_t n,
                                  double abandon_at_sq);
 
+/// SqDistToBoxFn over a float box: lo and hi are widened to double (exact)
+/// and the sum is the double kernel's, in the same order, so it equals
+/// sq_dist_to_box over the widened rows bit for bit in every variant.
+using SqDistToFboxFn = double (*)(const double* x, const float* lo,
+                                  const float* hi, std::size_t n,
+                                  double abandon_at_sq);
+
 /// Widest lane group any LDTW variant runs (two interleaved 4-lane AVX2
 /// chains); sizes the caller's scratch.
 inline constexpr std::size_t kMaxLdtwLanes = 8;
@@ -95,6 +104,7 @@ struct KernelTable {
   SqDistToBoxFn sq_dist_to_box;
   SqDistToBoxFn mindist_sq_to_rect;  // alias of the same math, kept as its
                                      // own entry so profiles name it
+  SqDistToFboxFn sq_dist_to_fbox;
   LdtwLanesFn ldtw_lanes;
   DeltaDecodeFn delta_decode;
   const char* name;

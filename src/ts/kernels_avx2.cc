@@ -29,7 +29,14 @@ inline __m256d BoxExcess4(__m256d x, __m256d lo, __m256d hi) {
   return _mm256_max_pd(_mm256_max_pd(du, dl), _mm256_setzero_pd());
 }
 
-double SqDistToBoxAvx2(const double* x, const double* lo, const double* hi,
+inline __m256d Load4(const double* p) { return _mm256_loadu_pd(p); }
+// Four floats widened to doubles in the register (exact).
+inline __m256d Load4(const float* p) {
+  return _mm256_cvtps_pd(_mm_loadu_ps(p));
+}
+
+template <class Box>
+double SqDistToBoxAvx2(const double* x, const Box* lo, const Box* hi,
                        std::size_t n, double abandon_at_sq) {
   __m256d acc = _mm256_setzero_pd();
   const std::size_t n4 = n & ~std::size_t{3};
@@ -38,8 +45,7 @@ double SqDistToBoxAvx2(const double* x, const double* lo, const double* hi,
     const std::size_t block_end =
         j + kAbandonBlock < n4 ? j + kAbandonBlock : n4;
     for (; j < block_end; j += 4) {
-      __m256d d = BoxExcess4(_mm256_loadu_pd(x + j), _mm256_loadu_pd(lo + j),
-                             _mm256_loadu_pd(hi + j));
+      __m256d d = BoxExcess4(Load4(x + j), Load4(lo + j), Load4(hi + j));
       acc = _mm256_add_pd(acc, _mm256_mul_pd(d, d));
     }
     double peek = HSum256(acc);
@@ -98,8 +104,9 @@ void DeltaDecodeAvx2(const std::int64_t* m, std::size_t n, double v0,
 
 extern const KernelTable kAvx2Table;
 const KernelTable kAvx2Table = {
-    SqDistToBoxAvx2,
-    SqDistToBoxAvx2,
+    SqDistToBoxAvx2<double>,
+    SqDistToBoxAvx2<double>,
+    SqDistToBoxAvx2<float>,
     detail::LdtwLanes<detail::LanePair<Avx2Lanes>>,
     DeltaDecodeAvx2,
     "avx2",

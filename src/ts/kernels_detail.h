@@ -9,7 +9,8 @@
 //     branchless form is canonical so +-inf inputs behave identically in
 //     every variant;
 //   - HSum4 fixes the 4-lane reduction order (l0+l2)+(l1+l3);
-//   - SqDistTail is the shared scalar epilogue of the box distance;
+//   - SqDistTail is the shared scalar epilogue of the box distance, over a
+//     double box or a float box widened to double (exact);
 //   - LdtwLanes is the one banded-LDTW implementation, instantiated per tier
 //     with that tier's lane-vector traits (the scalar reference with one
 //     double per "vector").
@@ -41,11 +42,14 @@ inline double HSum4(const double acc[4]) {
   return (acc[0] + acc[2]) + (acc[1] + acc[3]);
 }
 
-/// Sequential tail of the box-distance reduction, elements [j, n).
-inline double SqDistTail(const double* x, const double* lo, const double* hi,
-                         std::size_t j, std::size_t n, double s) {
+/// Sequential tail of the box-distance reduction, elements [j, n). `Box` is
+/// double or float; a float bound widens to double exactly.
+template <class Box>
+double SqDistTail(const double* x, const Box* lo, const Box* hi,
+                  std::size_t j, std::size_t n, double s) {
   for (; j < n; ++j) {
-    double d = BoxExcess(x[j], lo[j], hi[j]);
+    double d = BoxExcess(x[j], static_cast<double>(lo[j]),
+                         static_cast<double>(hi[j]));
     s += d * d;
   }
   return s;

@@ -62,23 +62,22 @@ double SquaredLbImprovedSecondPass(const Series& x, const Series& y,
   const std::size_t n = x.size();
   HUMDEX_CHECK(n == env_y.size() && y.size() == n);
   // Per-thread scratch reused across calls: the projection H, its
-  // k-envelope and the sliding-window queue.
+  // k-envelope and the envelope builder's block extrema.
   struct Scratch {
-    std::vector<double> h, lo, hi;
-    std::vector<std::size_t> window;
+    std::vector<double> h, lo, hi, env;
   };
   thread_local Scratch s;
   if (s.h.size() < n) {
     s.h.resize(n);
     s.lo.resize(n);
     s.hi.resize(n);
-    s.window.resize(n);
+    s.env.resize(EnvelopeScratchDoubles(n));
   }
   for (std::size_t i = 0; i < n; ++i) {
     s.h[i] = std::min(std::max(x[i], env_y.lower[i]), env_y.upper[i]);
   }
   BuildEnvelopeInto(s.h.data(), n, k, s.lo.data(), s.hi.data(),
-                    s.window.data());
+                    s.env.data());
   return kernels::ActiveKernels().sq_dist_to_box(
       y.data(), s.lo.data(), s.hi.data(), n, abandon_at_sq);
 }

@@ -24,8 +24,8 @@ namespace humdex {
 /// region (released on destruction) or a page-aligned owned buffer the bytes
 /// were read into — the fallback every Env can provide, and the form fault
 /// injection and sanitizer builds exercise. Move-only. The v3 binary storage
-/// layer keeps one alive per open database so zero-copy sections (the
-/// envelope rows) stay valid for the system's lifetime.
+/// layer decodes its sections straight out of one; the opened system keeps
+/// nothing that points into it.
 class MemorySource {
  public:
   MemorySource() = default;

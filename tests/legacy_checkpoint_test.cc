@@ -5,11 +5,13 @@
 //
 //   legacy_v2_pivots.db     v2 text with an `option pivots 4` block;
 //   legacy_v3_pivots_meta.db v3 image with PIVOTS (4), META (7) and
-//                            PIVOTROWS (8) sections.
+//                            PIVOTROWS (8) sections, and the stored
+//                            ENVELOPES (6) today's writer derives at open
+//                            instead.
 //
 // The current loaders must open both, strictly and by salvage, ignore the
-// removed stages' data, and answer bit-identically to a fresh build of the
-// same corpus.
+// removed stages' data and the stored envelopes (checksummed all the same),
+// and answer bit-identically to a fresh build of the same corpus.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -135,12 +137,48 @@ TEST(StorageLegacyTest, V3ImageWithRemovedSectionsOpensLikeAFreshBuild) {
   ASSERT_TRUE(LooksLikeV3(bytes));
   const std::set<std::uint32_t> types = SectionTypes(bytes);
   ASSERT_TRUE(types.count(4) && types.count(7) && types.count(8));
+  ASSERT_TRUE(types.count(6));
   ExpectOpensLikeAFreshBuild("legacy_v3_pivots_meta.db", bytes);
 }
 
+// The stored envelopes are ignored but still checksummed: one flipped byte
+// fails the strict open, and salvage — which rebuilds from the melody
+// frames — loses nothing.
+TEST(StorageLegacyTest, V3ImageWithDamagedEnvelopesFailsStrictAndSalvagesAll) {
+  std::string bytes = ReadFixture("legacy_v3_pivots_meta.db");
+  std::uint32_t count = 0;
+  std::memcpy(&count, bytes.data() + 16, sizeof count);
+  std::uint64_t offset = 0, length = 0;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const char* e = bytes.data() + 64 + 32 * static_cast<std::size_t>(i);
+    std::uint32_t type = 0;
+    std::memcpy(&type, e, sizeof type);
+    if (type != 6) continue;
+    std::memcpy(&offset, e + 8, sizeof offset);
+    std::memcpy(&length, e + 16, sizeof length);
+  }
+  ASSERT_GT(length, 0u);
+  const std::size_t at = static_cast<std::size_t>(offset + length / 3);
+  bytes[at] = static_cast<char>(bytes[at] ^ 0x10);
+
+  const std::string path = CopyToTemp("damaged_envelopes.db", bytes);
+  auto strict = QbhSystem::Open(path);
+  ASSERT_FALSE(strict.ok());
+  EXPECT_EQ(strict.status().code(), Status::Code::kCorruption)
+      << strict.status().ToString();
+
+  RecoveryStats stats;
+  auto salvaged = QbhSystem::OpenSalvage(path, nullptr, &stats);
+  ASSERT_TRUE(salvaged.ok()) << salvaged.status().ToString();
+  EXPECT_EQ(stats.melodies_dropped, 0u);
+  EXPECT_TRUE(stats.ids_stable);
+  ExpectSameAnswers(salvaged.value(), FreshBuildOf(salvaged.value()),
+                    "damaged envelopes OpenSalvage");
+}
+
 // Rewriting a legacy checkpoint drops the removed stages' data: the v2 text
-// loses its pivot block and the v3 image its three legacy sections, and the
-// rewritten files still answer like a fresh build.
+// loses its pivot block and the v3 image its three legacy sections and its
+// stored envelopes, and the rewritten files still answer like a fresh build.
 TEST(StorageLegacyTest, RewriteDropsTheRemovedStagesData) {
   for (const char* name : {"legacy_v2_pivots.db", "legacy_v3_pivots_meta.db"}) {
     const std::string path = CopyToTemp(name, ReadFixture(name));
@@ -152,7 +190,8 @@ TEST(StorageLegacyTest, RewriteDropsTheRemovedStagesData) {
     EXPECT_EQ(rewritten.find("pivot"), std::string::npos) << name;
     if (LooksLikeV3(rewritten)) {
       for (std::uint32_t type : SectionTypes(rewritten)) {
-        EXPECT_TRUE(type != 4 && type != 7 && type != 8) << name << " " << type;
+        EXPECT_TRUE(type != 4 && type != 6 && type != 7 && type != 8)
+            << name << " " << type;
       }
     }
     auto reopened = QbhSystem::Open(path);

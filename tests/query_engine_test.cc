@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <span>
@@ -10,6 +12,7 @@
 #include "music/song_generator.h"
 #include "qbh/qbh_system.h"
 #include "ts/dtw.h"
+#include "ts/envelope.h"
 #include "util/env.h"
 #include "util/random.h"
 
@@ -272,6 +275,20 @@ void ExpectSeriesAtIsTheArenaRow(const DtwQueryEngine& engine,
                            series.end()))
         << "id " << id;
     EXPECT_EQ(engine.ExactDistance(series, id), 0.0) << "id " << id;
+    // The envelope rows moved with the series row, and hold its k-envelope
+    // rounded outward to floats, pad tail zeroed.
+    const Envelope env = BuildEnvelope(series, engine.band_radius());
+    const CandidateArena& arena = engine.arena();
+    for (std::size_t j = 0; j < arena.env_stride(); ++j) {
+      const float lo = j < series.size() ? FloatAtOrBelow(env.lower[j]) : 0.0f;
+      const float hi = j < series.size() ? FloatAtOrAbove(env.upper[j]) : 0.0f;
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(arena.env_lo(pos)[j]),
+                std::bit_cast<std::uint32_t>(lo))
+          << "id " << id << " j " << j;
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(arena.env_hi(pos)[j]),
+                std::bit_cast<std::uint32_t>(hi))
+          << "id " << id << " j " << j;
+    }
   }
 }
 
@@ -312,7 +329,10 @@ TEST(QueryEngineTest, SeriesAtIsTheArenaRow) {
   EXPECT_EQ(engine.PosForId(57), 0u);
   ExpectSeriesAtIsTheArenaRow(engine, live);
 
-  // A mapped v3 open decodes each series straight into the arena's row block.
+  // A mapped v3 open decodes each series straight into the arena's row block
+  // and derives the envelope rows from it. The arena owns both: the file
+  // mapping is released when the open returns, so the reads below would
+  // touch unmapped memory if any row still pointed into it.
   Env* env = Env::Default();
   const std::string path = ::testing::TempDir() + "/series_at_arena_row.db";
   QbhOptions opt;
@@ -329,7 +349,7 @@ TEST(QueryEngineTest, SeriesAtIsTheArenaRow) {
   }
   Result<QbhSystem> opened = QbhSystem::Open(path, env);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  EXPECT_TRUE(opened.value().engine()->arena().borrowed());
+  EXPECT_EQ(opened.value().engine()->arena().size(), 25u);
   ExpectSeriesAtIsTheArenaRow(*opened.value().engine(), stored);
   env->Delete(path);
   env->Delete(QbhSystem::WalPathFor(path));
