@@ -1,18 +1,97 @@
 // Ablation (beyond the paper's figures, called out in DESIGN.md §5): how the
 // reduced dimensionality N trades lower-bound tightness against index width.
 // The paper fixes N=4 (tightness experiments) and N=8 (scalability); this
-// sweep shows the whole curve for every scheme.
+// sweep shows the whole curve for every scheme. A second sweep prices the
+// trade on the R*-tree: per-query probe and LB_Keogh times of range queries
+// over a shard-sized phrase corpus at N = 8, 12, 16, 24.
 #include <cstdio>
 
 #include "common.h"
+#include "gemini/query_engine.h"
 #include "transform/feature_scheme.h"
 #include "transform/poly.h"
 #include "ts/dtw.h"
 #include "ts/lower_bound.h"
 #include "util/random.h"
+#include "util/stats.h"
 
 namespace humdex::bench {
 namespace {
+
+// Range queries over one shard's worth of phrases, on New_PAA at each N:
+// index candidates and pages per query, and the median per-query
+// gemini.index_ns (envelope + probe) and gemini.lb_ns (LB_Keogh). New_PAA
+// needs N to divide the normal-form length, so this sweep runs at n = 96,
+// which 8, 12, 16 and 24 all divide. Returns whether every N gave the same
+// answers (each is exact, so they must).
+bool StageSweep() {
+  const std::size_t kLen = 96;
+  const std::size_t kCorpus = 5000;
+  const std::size_t kQueries = 200;
+  const int kReps = 3;
+  QueryEngineOptions eopts;
+  eopts.normal_len = kLen;
+  const std::size_t band = BandRadiusForWidth(eopts.warping_width, kLen);
+
+  auto normals = CorpusNormalForms(PhraseCorpus(kCorpus, /*seed=*/4242), kLen);
+  auto queries = CorpusNormalForms(PhraseCorpus(kQueries, /*seed=*/4343), kLen);
+  // Epsilon: the 1st percentile of sampled query-to-corpus distances.
+  Rng rng(17);
+  std::vector<double> dists;
+  for (int s = 0; s < 2000; ++s) {
+    dists.push_back(LdtwDistance(queries[rng.NextBounded(kQueries)],
+                                 normals[rng.NextBounded(kCorpus)], band));
+  }
+  const double epsilon = Percentile(dists, 1.0);
+
+  std::printf("\nStage times vs N: %zu phrases, n=%zu, %zu range queries "
+              "(eps %.3f), median of %d reps per query\n",
+              kCorpus, kLen, kQueries, epsilon, kReps);
+  Table table({"N", "candidates", "pages", "index_ns", "lb_ns",
+               "index+lb ns"});
+  std::vector<std::vector<Neighbor>> reference;
+  bool same = true;
+  for (std::size_t dim : {8u, 12u, 16u, 24u}) {
+    DtwQueryEngine engine(MakeNewPaaScheme(kLen, dim), eopts);
+    engine.AddAll(normals);
+    double cand = 0.0, pages = 0.0;
+    std::vector<double> index_ns, lb_ns;
+    for (std::size_t q = 0; q < kQueries; ++q) {
+      std::vector<double> idx, lb;
+      for (int rep = 0; rep < kReps; ++rep) {
+        QueryStats st;
+        auto answer = engine.RangeQuery(queries[q], epsilon, &st);
+        idx.push_back(static_cast<double>(st.index_ns));
+        lb.push_back(static_cast<double>(st.lb_ns));
+        if (rep > 0) continue;
+        cand += static_cast<double>(st.index_candidates);
+        pages += static_cast<double>(st.page_accesses);
+        if (reference.size() < kQueries) {
+          reference.push_back(std::move(answer));
+        } else if (!(answer.size() == reference[q].size() &&
+                     std::equal(answer.begin(), answer.end(),
+                                reference[q].begin(),
+                                [](const Neighbor& a, const Neighbor& b) {
+                                  return a.id == b.id &&
+                                         a.distance == b.distance;
+                                }))) {
+          same = false;
+        }
+      }
+      index_ns.push_back(Median(idx));
+      lb_ns.push_back(Median(lb));
+    }
+    const double nq = static_cast<double>(kQueries);
+    const double i_ns = Median(index_ns), l_ns = Median(lb_ns);
+    table.AddRow({Table::Int(dim), Table::Num(cand / nq, 1),
+                  Table::Num(pages / nq, 1), Table::Num(i_ns, 0),
+                  Table::Num(l_ns, 0), Table::Num(i_ns + l_ns, 0)});
+  }
+  table.Print();
+  std::printf("Every N returns identical answers: %s\n",
+              same ? "YES" : "NO (BUG)");
+  return same;
+}
 
 int Run() {
   const std::size_t kLen = 128;
@@ -74,7 +153,8 @@ int Run() {
 
   std::printf("\nShape check (New_PAA tightness grows with N): %s\n",
               monotone ? "HOLDS" : "VIOLATED");
-  return monotone ? 0 : 1;
+  const bool same_answers = StageSweep();
+  return monotone && same_answers ? 0 : 1;
 }
 
 }  // namespace

@@ -15,12 +15,14 @@
 #      fuzz tests so "no corrupt input throws, aborts, or touches bad memory"
 #      is mechanically checked —
 #      plus the SIMD kernel property tests, the envelope builder and
-#      outward-rounding tests, the cascade power-set exactness harness, and
-#      the LB_Triangle property/metamorphic suites, once with
+#      outward-rounding tests, the cascade power-set exactness harness, the
+#      LB_Triangle property/metamorphic suites, and the R*-tree, bulk-load
+#      and linear-scan tests (their node blocks are raw pointer
+#      arithmetic), once with
 #      the dispatched tier and once under HUMDEX_FORCE_SCALAR=1, so every
 #      kernel variant runs under the sanitizers;
-#   4. HUMDEX_SIMD=OFF build, running the kernel, envelope and cascade tests
-#      to prove
+#   4. HUMDEX_SIMD=OFF build, running the kernel, envelope, cascade and
+#      index-block tests to prove
 #      the scalar-only configuration stays exact and buildable;
 #   5. chaos stage: the sharded serving engine's fault-injection harness
 #      (including the replica-group suite: append crashes, mid-ship crashes,
@@ -68,20 +70,22 @@ cmake --build build-asan -j "$JOBS" --target \
   env_test corruption_test deadline_test storage_test fuzz_test melody_io_test \
   wav_io_test wal_test online_update_test kernel_test cascade_test \
   property_test metamorphic_test legacy_checkpoint_test storage_v3_test \
-  delete_test envelope_test
+  delete_test envelope_test rstar_tree_test bulk_load_test linear_scan_test
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-  -R 'PosixEnv|FaultInjectingEnv|Retry|Corruption|CrashSafety|Salvage|Deadline|Cancel|Shedding|Observability|Storage|Fuzz|MelodyIo|WavIo|WalTest|OnlineUpdate|Recovery|Kernel|Cascade|LbImproved|TriangleBound|Metamorphic|EngineRemove|SystemRemove|Envelope'
-# Same kernel/cascade/triangle/envelope tests with the dispatcher demoted to
-# the scalar reference, so the scalar code paths also run under ASan+UBSan.
+  -R 'PosixEnv|FaultInjectingEnv|Retry|Corruption|CrashSafety|Salvage|Deadline|Cancel|Shedding|Observability|Storage|Fuzz|MelodyIo|WavIo|WalTest|OnlineUpdate|Recovery|Kernel|Cascade|LbImproved|TriangleBound|Metamorphic|EngineRemove|SystemRemove|Envelope|RStar|BulkLoad|LinearScan'
+# Same kernel/cascade/triangle/envelope/index-block tests with the
+# dispatcher demoted to the scalar reference, so the scalar code paths also
+# run under ASan+UBSan.
 HUMDEX_FORCE_SCALAR=1 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-  -R 'Kernel|Cascade|LbImproved|TriangleBound|Metamorphic|Envelope'
+  -R 'Kernel|Cascade|LbImproved|TriangleBound|Metamorphic|Envelope|RStar|BulkLoad|LinearScan'
 
 echo "== [4/5] HUMDEX_SIMD=OFF build + kernel/cascade tests =="
 cmake -B build-nosimd -S . -DHUMDEX_SIMD=OFF >/dev/null
 cmake --build build-nosimd -j "$JOBS" --target kernel_test cascade_test \
-  lower_bound_test query_engine_test envelope_test
+  lower_bound_test query_engine_test envelope_test rstar_tree_test \
+  bulk_load_test linear_scan_test
 ctest --test-dir build-nosimd --output-on-failure -j "$JOBS" \
-  -R 'Kernel|Cascade|LbImproved|LowerBound|QueryEngine|Envelope'
+  -R 'Kernel|Cascade|LbImproved|LowerBound|QueryEngine|Envelope|RStar|BulkLoad|LinearScan'
 
 echo "== [5/5] chaos: sharded + replicated serving under ASan+UBSan =="
 cmake --build build-asan -j "$JOBS" --target \

@@ -10,10 +10,13 @@
 //
 // into flat 32-byte-aligned arrays (series rows padded to a multiple of 4
 // doubles, envelope rows to a multiple of 8 floats), so the filter streams
-// memory in index order instead of pointer-chasing. Envelopes are derived
-// from the series rows — on Append, and by a checkpoint reader filling a
-// Prebuilt — and never stored on disk. Rows follow the engine's positions:
-// Append on Add, SwapRemove on Remove. Every block is owned by the arena.
+// memory instead of pointer-chasing. Envelopes are derived from the series
+// rows — on Append, and by a checkpoint reader filling a Prebuilt — and
+// never stored on disk. Rows follow the engine's positions: a bulk build
+// and a v3 open place them in the feature index's leaf order, so an index
+// probe's candidates are read in ascending row order; Append on Add and
+// SwapRemove on Remove keep them valid, in a looser order. Every block is
+// owned by the arena.
 #pragma once
 
 #include <cstddef>

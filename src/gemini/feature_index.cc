@@ -1,5 +1,7 @@
 #include "gemini/feature_index.h"
 
+#include <limits>
+
 #include "util/status.h"
 
 namespace humdex {
@@ -64,6 +66,15 @@ void FeatureIndex::AttachRStarTree(std::unique_ptr<RStarTree> tree) {
   HUMDEX_CHECK_MSG(dynamic_cast<RStarTree*>(index_.get()) != nullptr,
                    "AttachRStarTree on a non-R*-tree backend");
   index_ = std::move(tree);
+}
+
+std::vector<std::int64_t> FeatureIndex::IdsInProbeOrder() const {
+  const Rect origin = Rect::FromPoint(Series(scheme_->output_dim(), 0.0));
+  std::vector<std::int64_t> ids =
+      index_->RangeQuery(origin, std::numeric_limits<double>::infinity());
+  HUMDEX_CHECK_MSG(ids.size() == index_->size(),
+                   "full-radius probe missed stored ids");
+  return ids;
 }
 
 std::vector<std::int64_t> FeatureIndex::CandidatesForEnvelope(

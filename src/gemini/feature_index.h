@@ -63,6 +63,13 @@ class FeatureIndex {
   /// backend. The tree must have been built over this scheme's features.
   void AttachRStarTree(std::unique_ptr<RStarTree> tree);
 
+  /// Every stored id, in the order a full-radius probe emits them: the
+  /// R*-tree's leaf preorder (the order its pages serialize in), a linear
+  /// scan's insertion order, a grid file's bucket order. The engine lays its
+  /// arena rows out in this order, so a probe's candidates arrive in
+  /// ascending row order.
+  std::vector<std::int64_t> IdsInProbeOrder() const;
+
   /// Ids whose features lie within `radius` of the reduced query envelope.
   /// By Theorem 1 this is a superset of every id with DTW distance <= radius
   /// from the query the envelope was built from.

@@ -139,10 +139,14 @@ void DtwQueryEngine::AddAll(std::vector<Series> normal_forms,
                             const std::vector<std::int64_t>& ids) {
   HUMDEX_CHECK_MSG(ids_.empty(), "AddAll on a non-empty engine");
   HUMDEX_CHECK(normal_forms.size() == ids.size());
-  AssignIds(ids);
+  AssignIds(ids);  // validates the ids; id_to_pos_ maps each to its input
   feature_index_.AddBatch(normal_forms, ids);
-  arena_.Reserve(normal_forms.size());
-  for (const Series& s : normal_forms) arena_.Append(s);
+  // Rows follow the index's probe order (leaf order on an R*-tree), so a
+  // probe's candidates are adjacent rows read in ascending order.
+  const std::vector<std::int64_t> order = feature_index_.IdsInProbeOrder();
+  arena_.Reserve(order.size());
+  for (std::int64_t id : order) arena_.Append(normal_forms[PosForId(id)]);
+  AssignIds(order);
 }
 
 void DtwQueryEngine::AddAllPrebuilt(CandidateArena::Prebuilt rows,

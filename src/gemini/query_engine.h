@@ -161,7 +161,10 @@ class DtwQueryEngine {
   void Add(Series normal_form, std::int64_t id);
 
   /// Bulk-build the engine from a whole corpus (ids 0..n-1). Uses STR
-  /// packing on R*-tree backends. Only valid while the engine is empty.
+  /// packing on R*-tree backends, and lays the arena rows out in the
+  /// index's probe order (FeatureIndex::IdsInProbeOrder), so the rows of
+  /// a probe's candidates are read in ascending order. Only valid while the
+  /// engine is empty.
   void AddAll(std::vector<Series> normal_forms);
 
   /// Bulk-build with explicit (not necessarily dense) non-negative ids, one
@@ -172,7 +175,8 @@ class DtwQueryEngine {
 
   /// v3 fast-open bulk build (DESIGN.md §14): adopt `rows`, filled by the
   /// caller from arena().AllocatePrebuilt(ids.size()) in the order of
-  /// `ids`. Deliberately leaves the feature index alone: the caller restores
+  /// `ids` (unique, in any order; a checkpoint writes them in probe
+  /// order). Deliberately leaves the feature index alone: the caller restores
   /// it from serialized pages or stored feature vectors
   /// (mutable_feature_index()). Only valid while the engine is empty.
   void AddAllPrebuilt(CandidateArena::Prebuilt rows,
@@ -311,7 +315,7 @@ class DtwQueryEngine {
 
  private:
   /// Bulk-build bookkeeping: rows 0..n-1 hold `ids` in order (each
-  /// non-negative and unique).
+  /// non-negative and unique; checked).
   void AssignIds(const std::vector<std::int64_t>& ids);
 
   /// The shared range cascade. `skip_ids` (sorted ascending, may be null)

@@ -1,6 +1,8 @@
-// Baseline "index": a flat array scanned in full on every query. Its page
-// accesses model sequential IO (points packed into fixed-size pages), giving
-// the yardstick the tree indexes must beat.
+// Baseline "index": a flat array scanned in full on every query. Points are
+// packed into fixed-size pages, each a dimension-major block scored by one
+// call of the block MINDIST kernel (ts/kernels.h), the same kernel and layout
+// an R*-tree node uses. Its page accesses model sequential IO, giving the
+// yardstick the tree indexes must beat.
 #pragma once
 
 #include <cstddef>
@@ -14,7 +16,8 @@ namespace humdex {
 /// Linear scan over all stored points.
 class LinearScanIndex : public SpatialIndex {
  public:
-  /// `points_per_page` controls the page-access accounting only.
+  /// `points_per_page` sets the page size: the block each kernel call
+  /// scores, and the page-access accounting.
   explicit LinearScanIndex(std::size_t dims, std::size_t points_per_page = 64);
 
   void Insert(const Series& point, std::int64_t id) override;
@@ -33,9 +36,21 @@ class LinearScanIndex : public SpatialIndex {
   std::size_t size() const override { return ids_.size(); }
 
  private:
+  /// Coordinate d of point i: page i / points_per_page_ holds a block of
+  /// dims_ rows of points_per_page_ doubles.
+  double& Coord(std::size_t i, std::size_t d) {
+    return blocks_[((i / points_per_page_) * dims_ + d) * points_per_page_ +
+                   i % points_per_page_];
+  }
+  std::size_t PageCount() const {
+    return (ids_.size() + points_per_page_ - 1) / points_per_page_;
+  }
+  /// Score every point against `query` into `out_sq` (size() doubles).
+  void ScoreAll(const Rect& query, double* out_sq) const;
+
   std::size_t dims_;
   std::size_t points_per_page_;
-  std::vector<Series> points_;
+  std::vector<double> blocks_;  // whole pages, dimension-major
   std::vector<std::int64_t> ids_;
 };
 

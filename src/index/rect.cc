@@ -27,9 +27,9 @@ Rect Rect::FromEnvelope(const Envelope& e) {
 
 double Rect::MinDistSq(const Series& p) const {
   HUMDEX_CHECK(p.size() == dims());
-  // The hot candidate test of every index backend: a point's clamp-excess
-  // against the transformed-envelope rectangle, via the dispatched kernel.
-  return kernels::ActiveKernels().mindist_sq_to_rect(
+  // A point's clamp-excess against the rectangle, via the dispatched
+  // kernel: the same sum a block scan scores for it (kernels.h).
+  return kernels::ActiveKernels().sq_dist_to_box(
       p.data(), lo.data(), hi.data(), p.size(),
       std::numeric_limits<double>::infinity());
 }

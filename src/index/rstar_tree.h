@@ -4,12 +4,22 @@
 // margin-driven axis/distribution split, and forced reinsertion on first
 // overflow per level. Every node visited during a query counts as one page
 // access.
+//
+// Each node is one page-like block (DESIGN.md §10): its entries' boxes laid
+// out dimension-major in a contiguous 32-byte-aligned double block with room
+// for M+1 entries (the overflow slot; a node restored by FromPages is sized
+// to its entries until its first append), lo rows then hi rows in an internal
+// node and each point once in a leaf, beside an array of child pointers or
+// leaf ids in entry order. A query scores a whole node with one call of the
+// block MINDIST kernel (ts/kernels.h), one entry per SIMD lane; RangeQuery
+// walks the tree in preorder, so it emits leaf entries in the order
+// SerializePages writes them. The mutation path (insert, split, reinsert,
+// delete) lifts entries out as Rects and writes them back.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -54,6 +64,8 @@ class RStarTree : public SpatialIndex {
   /// single child.
   bool Delete(const Series& point, std::int64_t id) override;
 
+  /// Walks the tree in preorder, so the ids come in leaf order: the order
+  /// SerializePages writes them.
   std::vector<std::int64_t> RangeQuery(const Rect& query, double radius,
                                        IndexStats* stats = nullptr) const override;
 
@@ -78,7 +90,8 @@ class RStarTree : public SpatialIndex {
   /// Append the tree's pages to `out` in preorder for the v3 binary
   /// checkpoint (DESIGN.md §14): a {size, next_page_id, bulk_loaded} header,
   /// then per node {page_id, level, entry_count} and per entry its exact MBR
-  /// doubles plus a leaf id or the child page recursively. FromPages restores
+  /// doubles (entry-major: lo then hi, a leaf point twice) plus a leaf id or
+  /// the child page recursively. FromPages restores
   /// the identical tree — same page ids, same node boundaries, same query
   /// page-access counts — without re-running STR packing.
   void SerializePages(std::string* out) const;
@@ -104,15 +117,29 @@ class RStarTree : public SpatialIndex {
 
   Node* ChooseSubtree(Node* node, const Rect& rect, int target_level) const;
   void InsertEntry(Entry entry, int level);
-  void OverflowTreatment(Node* node, std::set<int>* reinserted_levels);
-  void Reinsert(Node* node, std::set<int>* reinserted_levels);
   void SplitNode(Node* node);
   void AdjustUpward(Node* node);
 
-  std::unique_ptr<Node> NewNode();
+  /// A node with room for `capacity` entries (rounded up to 4).
+  std::unique_ptr<Node> NewNode(int level, std::size_t capacity);
+
+  // Block accessors of the mutation and validation paths.
+  Rect EntryRect(const Node& node, std::size_t i) const;
+  void SetEntryRect(Node* node, std::size_t i, const Rect& r);
+  /// The MBR of the node's entries (empty Rect for an empty node).
+  Rect NodeMbr(const Node& node) const;
+  /// Append one entry (count may reach M+1, the overflow slot).
+  void AppendEntry(Node* node, Entry entry);
+  /// Remove entry i, keeping the others in order.
+  Entry RemoveEntry(Node* node, std::size_t i);
+  /// Empty the node, returning its entries in order.
+  std::vector<Entry> TakeEntries(Node* node);
+  /// Fill an empty node with `entries` in order.
+  void PutEntries(Node* node, std::vector<Entry> entries);
 
   std::size_t dims_;
   RStarOptions options_;
+  std::size_t stride_;  // full node capacity: M+1 rounded up to 4
   std::unique_ptr<Node> root_;
   std::size_t size_ = 0;
   bool bulk_loaded_ = false;  // packing leaves one underfull node per level

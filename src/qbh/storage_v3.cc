@@ -47,11 +47,11 @@ constexpr std::size_t kMaxSections = 64;
 // still carry them but otherwise ignore them.
 enum SectionType : std::uint32_t {
   kSecOptions = 1,    ///< the v2 `option k v` lines, verbatim
-  kSecIds = 2,        ///< u64 n, then n ascending unique u64 ids
-  kSecMelodies = 3,   ///< n per-frame-checksummed melody frames
-  kSecNormals = 5,    ///< n codec-encoded normal forms, id order
+  kSecIds = 2,        ///< u64 n, then n unique u64 ids, in row order
+  kSecMelodies = 3,   ///< n per-frame-checksummed melody frames, row order
+  kSecNormals = 5,    ///< n codec-encoded normal forms, row order
   kSecEnvelopes = 6,  ///< legacy: n*stride lo doubles, then n*stride hi
-  kSecFeatures = 9,   ///< n * feature_dim raw doubles (non-R*-tree backends)
+  kSecFeatures = 9,   ///< n * feature_dim raw doubles, row order (non-R*-tree)
   kSecIndex = 10,     ///< RStarTree::SerializePages blob (R*-tree backend)
   kSecScheme = 11,    ///< u64 rows, u64 cols, fitted coefficients (SVD)
 };
@@ -342,12 +342,15 @@ bool LooksLikeV3(std::string_view data) {
 std::string SerializeQbhCorpusV3(
     const QbhOptions& opt, const std::vector<std::optional<Melody>>& slots,
     const DtwQueryEngine& engine) {
-  std::vector<std::uint64_t> ids;
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (slots[i].has_value()) ids.push_back(i);
-  }
+  // Every id-ordered section lists the items in the index's probe order
+  // (the R*-tree's leaf preorder, as INDEX serializes it), so an open lays
+  // its arena rows out in leaf order however the engine churned since.
+  const std::vector<std::int64_t> ids =
+      engine.feature_index().IdsInProbeOrder();
   const std::size_t n = ids.size();
-  HUMDEX_CHECK_MSG(engine.size() == n,
+  std::size_t live = 0;
+  for (const std::optional<Melody>& slot : slots) live += slot.has_value();
+  HUMDEX_CHECK_MSG(engine.size() == n && live == n,
                    "v3 serializer: engine does not mirror the corpus");
 
   std::vector<std::pair<std::uint32_t, std::string>> sections;
@@ -356,14 +359,18 @@ std::string SerializeQbhCorpusV3(
   {
     std::string s;
     PutU64(&s, n);
-    for (std::uint64_t id : ids) PutU64(&s, id);
+    for (std::int64_t id : ids) PutU64(&s, static_cast<std::uint64_t>(id));
     sections.emplace_back(kSecIds, std::move(s));
   }
 
   {
     std::string s;
-    for (std::uint64_t id : ids) {
-      std::string payload = EncodeMelodyPayload(id, *slots[id]);
+    for (std::int64_t id : ids) {
+      const std::optional<Melody>& slot = slots[static_cast<std::size_t>(id)];
+      HUMDEX_CHECK_MSG(slot.has_value(),
+                       "v3 serializer: engine does not mirror the corpus");
+      std::string payload =
+          EncodeMelodyPayload(static_cast<std::uint64_t>(id), *slot);
       PutU32(&s, static_cast<std::uint32_t>(payload.size()));
       PutU32(&s, Crc32c(payload));
       s += payload;
@@ -374,7 +381,7 @@ std::string SerializeQbhCorpusV3(
   // Per-id arena positions, reused by every id-ordered section below.
   std::vector<std::size_t> pos(n);
   for (std::size_t i = 0; i < n; ++i) {
-    pos[i] = engine.PosForId(static_cast<std::int64_t>(ids[i]));
+    pos[i] = engine.PosForId(ids[i]);
     HUMDEX_CHECK(pos[i] != static_cast<std::size_t>(-1));
   }
 
@@ -492,9 +499,10 @@ Result<QbhSystem> ParseQbhDatabaseV3(std::shared_ptr<MemorySource> source) {
     return Corruption("v3 scheme section does not match the scheme option");
   }
 
-  // IDS: n ascending unique ids below the id-space bound, all n listed.
-  // Nothing is sized by n before that check, nor are the row blocks before
-  // the bound on their size below.
+  // IDS: n unique ids below the id-space bound, all n listed, in the order
+  // of the rows (a writer's probe order; legacy images list them
+  // ascending). Nothing is sized by n before that check, nor are the row
+  // blocks before the bound on their size below.
   Cursor ids_in{secs[kSecIds].bytes};
   std::uint64_t n64 = 0;
   if (!ids_in.ReadU64(&n64) || n64 == 0 || n64 != melody_count ||
@@ -513,16 +521,24 @@ Result<QbhSystem> ParseQbhDatabaseV3(std::shared_ptr<MemorySource> source) {
   std::vector<std::int64_t> ids(n);
   for (std::size_t i = 0; i < n; ++i) {
     std::uint64_t id = 0;
-    if (!ids_in.ReadU64(&id) || id >= kMaxNextId ||
-        (i > 0 && id <= static_cast<std::uint64_t>(ids[i - 1]))) {
-      return Corruption("v3 id list is not ascending and in range");
+    if (!ids_in.ReadU64(&id) || id >= kMaxNextId) {
+      return Corruption("v3 id out of range");
     }
     ids[i] = static_cast<std::int64_t>(id);
   }
   if (!ids_in.done()) return Corruption("trailing bytes in v3 id section");
-  if (next_id <= static_cast<std::uint64_t>(ids.back()) ||
-      next_id > kMaxNextId) {
+  const std::int64_t max_id = *std::max_element(ids.begin(), ids.end());
+  if (next_id <= static_cast<std::uint64_t>(max_id) || next_id > kMaxNextId) {
     return Corruption("v3 next_id out of range");
+  }
+  {
+    std::vector<bool> seen(static_cast<std::size_t>(max_id) + 1);
+    for (std::int64_t id : ids) {
+      if (seen[static_cast<std::size_t>(id)]) {
+        return Corruption("v3 id list has a duplicate id");
+      }
+      seen[static_cast<std::size_t>(id)] = true;
+    }
   }
 
   // NORMALS framing: where each encoded series starts, so the rows can
@@ -698,11 +714,11 @@ Result<QbhSystem> ParseQbhDatabaseV3(std::shared_ptr<MemorySource> source) {
     if (!st.ok()) return st;
   }
   QbhSystem system(opt);
+  system.ReserveIds(static_cast<std::int64_t>(next_id));
   for (std::size_t i = 0; i < n; ++i) {
     Status st = system.AddMelodyWithId(std::move(melodies[i]), ids[i]);
     if (!st.ok()) return Corruption(st.message());
   }
-  system.ReserveIds(static_cast<std::int64_t>(next_id));
 
   Status index_st = index_done.get();
   if (!index_st.ok()) return index_st;

@@ -11,8 +11,6 @@
 namespace humdex {
 namespace kernels {
 
-using detail::kInf;
-
 namespace {
 
 // ---------------------------------------------------------------------------
@@ -43,23 +41,6 @@ double SqDistToBoxScalar(const double* x, const Box* lo, const Box* hi,
   return detail::SqDistTail(x, lo, hi, j, n, detail::HSum4(acc));
 }
 
-// One double per "vector": the LDTW reference every SIMD lane reproduces.
-struct ScalarLane {
-  static constexpr std::size_t kLanes = 1;
-  using Reg = double;
-  static double Load(const double* p) { return *p; }
-  static void Store(double* p, double v) { *p = v; }
-  static double Set1(double v) { return v; }
-  static double Add(double a, double b) { return a + b; }
-  static double Sub(double a, double b) { return a - b; }
-  static double Mul(double a, double b) { return a * b; }
-  static double Min(double a, double b) { return a < b ? a : b; }
-  static double AddUnlessInf(double c, double a) {
-    return a == kInf ? kInf : c + a;
-  }
-  static unsigned GtMask(double a, double b) { return a > b ? 1u : 0u; }
-};
-
 void DeltaDecodeScalar(const std::int64_t* m, std::size_t n, double v0,
                        double scale, double* out) {
   detail::DeltaDecodeTail(m, 0, n, v0, scale, out);
@@ -67,9 +48,9 @@ void DeltaDecodeScalar(const std::int64_t* m, std::size_t n, double v0,
 
 constexpr KernelTable kScalarTable = {
     SqDistToBoxScalar<double>,
-    SqDistToBoxScalar<double>,  // MINDIST-to-rect is the same clamp-excess sum
     SqDistToBoxScalar<float>,
-    detail::LdtwLanes<ScalarLane>,
+    detail::MindistSqBlock<detail::ScalarLane>,
+    detail::LdtwLanes<detail::ScalarLane>,
     DeltaDecodeScalar,
     "scalar",
 };

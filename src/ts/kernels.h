@@ -5,10 +5,10 @@
 //      LB_Improved inner loop (ts/envelope.h, ts/lower_bound.h) — over a
 //      double box, and over the candidate arena's outward-rounded float
 //      envelope rows, widened to double in registers;
-//   2. squared MINDIST from a feature vector to a query rectangle — the
-//      feature-index candidate test (index/rect.cc). Pointwise this is the
-//      same clamp-excess computation as (1), so both entries may share an
-//      implementation;
+//   2. squared MINDIST from every entry of a dimension-major block (an
+//      R*-tree node, a linear-scan page) to a query rectangle — the
+//      feature-index candidate test, one entry per SIMD lane. For a point
+//      entry it equals (1)'s sum bit for bit;
 //   3. lane-parallel banded LDTW — exact verification of several candidates
 //      against one query, one candidate per SIMD lane (ts/dtw.cc,
 //      gemini/query_engine.cc);
@@ -60,6 +60,25 @@ using SqDistToFboxFn = double (*)(const double* x, const float* lo,
                                   const float* hi, std::size_t n,
                                   double abandon_at_sq);
 
+/// Squared MINDIST from each of `count` entries of a dimension-major block
+/// to the query rectangle [q_lo, q_hi] of `dims` dimensions. Entry i spans
+/// [lo[d * stride + i], hi[d * stride + i]] in dimension d; a block of
+/// points passes the same rows as lo and hi. out_sq[i] receives
+///
+///   sum over d of max(lo_d - q_hi_d, q_lo_d - hi_d, 0)^2
+///
+/// summed in SqDistToBoxFn's blocked order (dimension d into accumulator
+/// d % 4, HSum4, then the tail in sequence), so for a point it equals
+/// sq_dist_to_box(point, q_lo, q_hi, dims, +inf) bit for bit, and every
+/// variant equals the scalar reference. One order for points and
+/// rectangles also makes a parent entry's score <= each child's: a gap can
+/// only shrink as the box grows, and rounded sums and squares are monotone.
+/// No early abandoning; entries are vectorized across lanes, not dims.
+using MindistSqBlockFn = void (*)(const double* q_lo, const double* q_hi,
+                                  const double* lo, const double* hi,
+                                  std::size_t dims, std::size_t count,
+                                  std::size_t stride, double* out_sq);
+
 /// Widest lane group any LDTW variant runs (two interleaved 4-lane AVX2
 /// chains); sizes the caller's scratch.
 inline constexpr std::size_t kMaxLdtwLanes = 8;
@@ -102,9 +121,8 @@ using DeltaDecodeFn = void (*)(const std::int64_t* m, std::size_t n, double v0,
 /// One dispatchable implementation set.
 struct KernelTable {
   SqDistToBoxFn sq_dist_to_box;
-  SqDistToBoxFn mindist_sq_to_rect;  // alias of the same math, kept as its
-                                     // own entry so profiles name it
   SqDistToFboxFn sq_dist_to_fbox;
+  MindistSqBlockFn mindist_sq_block;
   LdtwLanesFn ldtw_lanes;
   DeltaDecodeFn delta_decode;
   const char* name;

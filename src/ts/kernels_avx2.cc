@@ -54,10 +54,10 @@ double SqDistToBoxAvx2(const double* x, const Box* lo, const Box* hi,
   return detail::SqDistTail(x, lo, hi, j, n, HSum256(acc));
 }
 
-// One candidate per lane. No FMA: the lane recurrence must round like the
-// scalar reference. The table runs two of these groups interleaved
-// (LanePair, 8 candidates), which hides the add -> min latency of the row
-// chain: one 4-lane chain took 1.13x as long on the serving path
+// One candidate (or block entry) per lane. No FMA: the lane recurrence must
+// round like the scalar reference. The LDTW entry runs two of these groups
+// interleaved (LanePair, 8 candidates), which hides the add -> min latency
+// of the row chain: one 4-lane chain took 1.13x as long on the serving path
 // (DESIGN.md §10).
 struct Avx2Lanes {
   static constexpr std::size_t kLanes = 4;
@@ -69,6 +69,7 @@ struct Avx2Lanes {
   static Reg Sub(Reg a, Reg b) { return _mm256_sub_pd(a, b); }
   static Reg Mul(Reg a, Reg b) { return _mm256_mul_pd(a, b); }
   static Reg Min(Reg a, Reg b) { return _mm256_min_pd(a, b); }
+  static Reg Max(Reg a, Reg b) { return _mm256_max_pd(a, b); }
   static Reg AddUnlessInf(Reg c, Reg a) {
     const Reg inf = _mm256_set1_pd(kInf);
     return _mm256_blendv_pd(_mm256_add_pd(c, a), inf,
@@ -105,8 +106,8 @@ void DeltaDecodeAvx2(const std::int64_t* m, std::size_t n, double v0,
 extern const KernelTable kAvx2Table;
 const KernelTable kAvx2Table = {
     SqDistToBoxAvx2<double>,
-    SqDistToBoxAvx2<double>,
     SqDistToBoxAvx2<float>,
+    detail::MindistSqBlock<Avx2Lanes>,
     detail::LdtwLanes<detail::LanePair<Avx2Lanes>>,
     DeltaDecodeAvx2,
     "avx2",

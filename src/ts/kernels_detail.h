@@ -11,6 +11,10 @@
 //   - HSum4 fixes the 4-lane reduction order (l0+l2)+(l1+l3);
 //   - SqDistTail is the shared scalar epilogue of the box distance, over a
 //     double box or a float box widened to double (exact);
+//   - MindistSqBlock is the one block MINDIST implementation: entries of a
+//     dimension-major block run one per lane, each lane summing its gaps in
+//     the box distance's blocked order, instantiated per tier with that
+//     tier's lane-vector traits;
 //   - LdtwLanes is the one banded-LDTW implementation, instantiated per tier
 //     with that tier's lane-vector traits (the scalar reference with one
 //     double per "vector").
@@ -53,6 +57,79 @@ double SqDistTail(const double* x, const Box* lo, const Box* hi,
     s += d * d;
   }
   return s;
+}
+
+/// One double per "vector": the lane reference every SIMD lane reproduces,
+/// and the ragged-tail lane of the block kernel in every tier.
+struct ScalarLane {
+  static constexpr std::size_t kLanes = 1;
+  using Reg = double;
+  static double Load(const double* p) { return *p; }
+  static void Store(double* p, double v) { *p = v; }
+  static double Set1(double v) { return v; }
+  static double Add(double a, double b) { return a + b; }
+  static double Sub(double a, double b) { return a - b; }
+  static double Mul(double a, double b) { return a * b; }
+  static double Min(double a, double b) { return a < b ? a : b; }
+  static double Max(double a, double b) { return ScalarMax(a, b); }
+  static double AddUnlessInf(double c, double a) {
+    return a == kInf ? kInf : c + a;
+  }
+  static unsigned GtMask(double a, double b) { return a > b ? 1u : 0u; }
+};
+
+/// Block MINDIST over entries [i, count) in groups of V::kLanes, one entry
+/// per lane (contract: kernels.h, MindistSqBlockFn). Returns the first entry
+/// left over, fewer than V::kLanes before `count`. Each lane computes
+///
+///   g_d = max(max(lo_d - q_hi_d, q_lo_d - hi_d), 0)   (maxpd operand order)
+///
+/// and sums g_d^2 exactly as SqDistToBox sums a point's excesses: dimension
+/// d into accumulator d % 4 over the leading multiple of 4, HSum4, then the
+/// remaining dimensions in sequence. With lo == hi that is BoxExcess, so a
+/// point's score is the box distance's bit for bit.
+template <class V>
+std::size_t MindistBlockGroups(const double* q_lo, const double* q_hi,
+                               const double* lo, const double* hi,
+                               std::size_t dims, std::size_t count,
+                               std::size_t stride, double* out_sq,
+                               std::size_t i) {
+  using Reg = typename V::Reg;
+  constexpr std::size_t L = V::kLanes;
+  const std::size_t dims4 = dims & ~std::size_t{3};
+  const Reg zero = V::Set1(0.0);
+  auto gap_sq = [&](std::size_t d, std::size_t at) {
+    const Reg g = V::Max(
+        V::Max(V::Sub(V::Load(lo + d * stride + at), V::Set1(q_hi[d])),
+               V::Sub(V::Set1(q_lo[d]), V::Load(hi + d * stride + at))),
+        zero);
+    return V::Mul(g, g);
+  };
+  for (; i + L <= count; i += L) {
+    Reg acc[4] = {zero, zero, zero, zero};
+    std::size_t d = 0;
+    for (; d < dims4; d += 4) {
+      for (std::size_t l = 0; l < 4; ++l) {
+        acc[l] = V::Add(acc[l], gap_sq(d + l, i));
+      }
+    }
+    Reg s = V::Add(V::Add(acc[0], acc[2]), V::Add(acc[1], acc[3]));
+    for (; d < dims; ++d) s = V::Add(s, gap_sq(d, i));
+    V::Store(out_sq + i, s);
+  }
+  return i;
+}
+
+/// The block kernel of a tier: full lane groups of V, then the ragged tail
+/// one entry at a time through the scalar lane.
+template <class V>
+void MindistSqBlock(const double* q_lo, const double* q_hi, const double* lo,
+                    const double* hi, std::size_t dims, std::size_t count,
+                    std::size_t stride, double* out_sq) {
+  std::size_t i =
+      MindistBlockGroups<V>(q_lo, q_hi, lo, hi, dims, count, stride, out_sq, 0);
+  MindistBlockGroups<ScalarLane>(q_lo, q_hi, lo, hi, dims, count, stride,
+                                 out_sq, i);
 }
 
 /// Banded LDTW over lane groups (contract: kernels.h, LdtwLanesFn). `V` is a

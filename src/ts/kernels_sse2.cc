@@ -65,8 +65,8 @@ double SqDistToBoxSse2(const double* x, const Box* lo, const Box* hi,
   return detail::SqDistTail(x, lo, hi, j, n, HSumPair(acc_a, acc_b));
 }
 
-// One candidate per lane; SSE2 has no blendv, so the inf guard is a
-// mask select.
+// One candidate (or block entry) per lane; SSE2 has no blendv, so the inf
+// guard is a mask select.
 struct Sse2Lanes {
   static constexpr std::size_t kLanes = 2;
   using Reg = __m128d;
@@ -77,6 +77,7 @@ struct Sse2Lanes {
   static Reg Sub(Reg a, Reg b) { return _mm_sub_pd(a, b); }
   static Reg Mul(Reg a, Reg b) { return _mm_mul_pd(a, b); }
   static Reg Min(Reg a, Reg b) { return _mm_min_pd(a, b); }
+  static Reg Max(Reg a, Reg b) { return _mm_max_pd(a, b); }
   static Reg AddUnlessInf(Reg c, Reg a) {
     const Reg inf = _mm_set1_pd(kInf);
     const Reg mask = _mm_cmpeq_pd(a, inf);
@@ -111,8 +112,8 @@ void DeltaDecodeSse2(const std::int64_t* m, std::size_t n, double v0,
 extern const KernelTable kSse2Table;
 const KernelTable kSse2Table = {
     SqDistToBoxSse2<double>,
-    SqDistToBoxSse2<double>,
     SqDistToBoxSse2<float>,
+    detail::MindistSqBlock<Sse2Lanes>,
     detail::LdtwLanes<Sse2Lanes>,
     DeltaDecodeSse2,
     "sse2",

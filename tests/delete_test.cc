@@ -141,6 +141,31 @@ TEST(DeleteTest, DeleteFromBulkLoadedTree) {
   EXPECT_EQ(tree->size(), 2000u);
 }
 
+// A packed tree dissolves a node only once it is empty (minimum fill 1), so
+// deleting everything empties leaves at every position under their
+// parents; each emptied leaf is detached and the tree stays valid.
+TEST(DeleteTest, EmptyingBulkLoadedLeavesKeepsTheTreeValid) {
+  Rng rng(13);
+  std::vector<Series> pts;
+  std::vector<std::int64_t> ids;
+  for (std::int64_t id = 0; id < 3000; ++id) {
+    pts.push_back(RandomPoint(&rng, 4));
+    ids.push_back(id);
+  }
+  auto tree = RStarTree::BulkLoad(4, pts, ids);
+  std::vector<std::int64_t> order = ids;
+  rng.Shuffle(&order);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const std::int64_t id = order[i];
+    ASSERT_TRUE(tree->Delete(pts[static_cast<std::size_t>(id)], id));
+    if (i % 250 == 0) tree->CheckInvariants();
+  }
+  tree->CheckInvariants();
+  EXPECT_EQ(tree->size(), 0u);
+  EXPECT_TRUE(tree->RangeQuery(Rect(Series(4, -100), Series(4, 100)), 0.0)
+                  .empty());
+}
+
 TEST(EngineRemoveTest, RemovedSeriesVanishesFromAllQueries) {
   Rng rng(11);
   std::vector<Series> corpus;

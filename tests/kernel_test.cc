@@ -131,10 +131,6 @@ TEST_P(KernelVariantTest, SqDistToBoxMatchesScalarBitForBitAllLengths) {
     double ref = scalar.sq_dist_to_box(x.data(), lo.data(), hi.data(), n, kInf);
     double got = table_->sq_dist_to_box(x.data(), lo.data(), hi.data(), n, kInf);
     EXPECT_TRUE(BitEqual(ref, got)) << "n=" << n;
-    // The aliased MINDIST entry computes the same math.
-    EXPECT_TRUE(BitEqual(
-        ref, table_->mindist_sq_to_rect(x.data(), lo.data(), hi.data(), n, kInf)))
-        << "n=" << n;
   }
 }
 
@@ -363,6 +359,108 @@ TEST_P(KernelVariantTest, DeltaDecodeMatchesScalarBitForBitAllLengths) {
     table_->delta_decode(m.data(), n, v0, scale, got.data());
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_TRUE(BitEqual(ref[i], got[i])) << "n=" << n << " i=" << i;
+    }
+  }
+}
+
+// Values for the block kernel's inputs: signed zeros, subnormals, +-inf,
+// NaN, magnitudes whose squares overflow, and ordinary values.
+double BlockValue(Rng* rng) {
+  switch (rng->NextBounded(12)) {
+    case 0: return 0.0;
+    case 1: return -0.0;
+    case 2: return 4.9e-324;
+    case 3: return -2.3e-310;
+    case 4: return kInf;
+    case 5: return -kInf;
+    case 6: return std::numeric_limits<double>::quiet_NaN();
+    case 7: return rng->Bernoulli(0.5) ? 1e200 : -1e300;
+    default: return rng->Uniform(-4.0, 4.0);
+  }
+}
+
+// The canonical lane of the block kernel for a rectangle entry, written out
+// from its definition: clamp excess per dimension (maxpd operand order),
+// dimension d into accumulator d % 4, HSum4, then the tail in sequence.
+double BlockLaneReference(const double* q_lo, const double* q_hi,
+                          const double* lo, const double* hi,
+                          std::size_t dims) {
+  auto max = [](double a, double b) { return a > b ? a : b; };
+  auto gap_sq = [&](std::size_t d) {
+    const double g = max(max(lo[d] - q_hi[d], q_lo[d] - hi[d]), 0.0);
+    return g * g;
+  };
+  double acc[4] = {0.0, 0.0, 0.0, 0.0};
+  const std::size_t dims4 = dims & ~std::size_t{3};
+  std::size_t d = 0;
+  for (; d < dims4; d += 4) {
+    for (std::size_t l = 0; l < 4; ++l) acc[l] += gap_sq(d + l);
+  }
+  double s = (acc[0] + acc[2]) + (acc[1] + acc[3]);
+  for (; d < dims; ++d) s += gap_sq(d);
+  return s;
+}
+
+// Bit-equal, except that any NaN equals any NaN: which NaN payload an add
+// of two NaNs keeps depends on operand order, which no tier promises.
+::testing::AssertionResult SameLaneValue(double a, double b) {
+  if (std::isnan(a) && std::isnan(b)) return ::testing::AssertionSuccess();
+  return BitEqual(a, b);
+}
+
+// Every lane of the block kernel, for every entry count 1..130 (each ragged
+// tail of each tier's lane group) and dims 1..33, equals the box distance
+// of its point (point blocks: lo and hi are the same rows) or the canonical
+// blocked clamp-excess sum of its rectangle, in the scalar table and in
+// this tier, on adversarial values.
+TEST_P(KernelVariantTest, MindistBlockMatchesScalarBitForBit) {
+  const std::vector<const kernels::KernelTable*> tables = {
+      &kernels::ScalarKernels(), table_};
+  Rng rng(61);
+  std::vector<double> got;
+  for (std::size_t count = 1; count <= 130; ++count) {
+    const std::size_t dims = 1 + (count * 7) % 33;
+    const std::size_t stride = count + rng.NextBounded(5);
+    const bool specials = count % 3 == 0;
+    Series q_lo(dims), q_hi(dims);
+    for (std::size_t d = 0; d < dims; ++d) {
+      q_lo[d] = specials ? BlockValue(&rng) : rng.Uniform(-4.0, 4.0);
+      q_hi[d] = q_lo[d] + (rng.Bernoulli(0.2) ? 0.0 : rng.Uniform(0.0, 2.0));
+    }
+    std::vector<double> lo(dims * stride), hi(dims * stride);
+    for (std::size_t j = 0; j < lo.size(); ++j) {
+      lo[j] = specials ? BlockValue(&rng) : rng.Uniform(-4.0, 4.0);
+      hi[j] = lo[j] + (rng.Bernoulli(0.3) ? 0.0 : rng.Uniform(0.0, 1.0));
+    }
+    got.assign(count, 0.0);
+    for (const kernels::KernelTable* table : tables) {
+      // A block of points: each lane is sq_dist_to_box of its column.
+      table->mindist_sq_block(q_lo.data(), q_hi.data(), lo.data(), lo.data(),
+                              dims, count, stride, got.data());
+      for (std::size_t i = 0; i < count; ++i) {
+        Series point(dims);
+        for (std::size_t d = 0; d < dims; ++d) point[d] = lo[d * stride + i];
+        const double want = kernels::ScalarKernels().sq_dist_to_box(
+            point.data(), q_lo.data(), q_hi.data(), dims, kInf);
+        EXPECT_TRUE(SameLaneValue(want, got[i]))
+            << table->name << " point count=" << count << " dims=" << dims
+            << " i=" << i;
+      }
+      // A block of rectangles.
+      table->mindist_sq_block(q_lo.data(), q_hi.data(), lo.data(), hi.data(),
+                              dims, count, stride, got.data());
+      for (std::size_t i = 0; i < count; ++i) {
+        Series elo(dims), ehi(dims);
+        for (std::size_t d = 0; d < dims; ++d) {
+          elo[d] = lo[d * stride + i];
+          ehi[d] = hi[d * stride + i];
+        }
+        const double want = BlockLaneReference(q_lo.data(), q_hi.data(),
+                                               elo.data(), ehi.data(), dims);
+        EXPECT_TRUE(SameLaneValue(want, got[i]))
+            << table->name << " rect count=" << count << " dims=" << dims
+            << " i=" << i;
+      }
     }
   }
 }

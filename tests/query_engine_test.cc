@@ -355,6 +355,78 @@ TEST(QueryEngineTest, SeriesAtIsTheArenaRow) {
   env->Delete(QbhSystem::WalPathFor(path));
 }
 
+// The rows a probe's candidates sit in, in the order it emits them.
+std::vector<std::size_t> RowsOf(const DtwQueryEngine& engine,
+                                const std::vector<std::int64_t>& ids) {
+  std::vector<std::size_t> rows;
+  for (std::int64_t id : ids) rows.push_back(engine.PosForId(id));
+  return rows;
+}
+
+// Every row holds the id a full-radius probe emits at that position, and a
+// bounded probe's candidates come in ascending row order.
+void ExpectRowsInProbeOrder(const DtwQueryEngine& engine,
+                            const std::vector<Series>& queries) {
+  const std::vector<std::size_t> all =
+      RowsOf(engine, engine.feature_index().IdsInProbeOrder());
+  ASSERT_EQ(all.size(), engine.size());
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    ASSERT_EQ(all[i], i) << "probe position " << i;
+  }
+  std::vector<Series> probes = queries;
+  for (std::size_t pos : {std::size_t{0}, engine.size() / 2}) {
+    const std::span<const double> row = engine.SeriesAt(pos);
+    probes.emplace_back(row.begin(), row.end());
+  }
+  for (const Series& q : probes) {
+    const std::vector<std::size_t> rows =
+        RowsOf(engine, engine.feature_index().CandidatesForEnvelope(
+                           BuildEnvelope(q, engine.band_radius()), 8.0));
+    EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end()));
+  }
+}
+
+TEST(QueryEngineTest, BulkBuildPlacesRowsInLeafOrder) {
+  Rng rng(37);
+  std::vector<Series> corpus, queries;
+  for (int i = 0; i < 700; ++i) corpus.push_back(RandomWalk(&rng, 128));
+  for (int i = 0; i < 8; ++i) queries.push_back(RandomWalk(&rng, 128));
+  DtwQueryEngine engine(MakeNewPaaScheme(128, 8), QueryEngineOptions());
+  engine.AddAll(corpus);
+  ExpectRowsInProbeOrder(engine, queries);
+
+  // After churn (append, swap-remove) a v3 checkpoint and open restore leaf
+  // order, with every id's series intact.
+  Env* env = Env::Default();
+  const std::string path = ::testing::TempDir() + "/rows_in_leaf_order.db";
+  QbhOptions opt;
+  opt.format = CheckpointFormat::kV3Binary;
+  QbhSystem system(opt);
+  SongGenerator gen(9);
+  for (Melody& m : gen.GeneratePhrases(400)) system.AddMelody(std::move(m));
+  system.Build();
+  ASSERT_TRUE(system.Attach(path, env).ok());
+  ExpectRowsInProbeOrder(*system.engine(), queries);
+  for (std::int64_t id : {3, 150, 222}) ASSERT_TRUE(system.Remove(id).ok());
+  for (Melody& m : gen.GeneratePhrases(5)) {
+    ASSERT_TRUE(system.Insert(std::move(m)).ok());
+  }
+  ASSERT_TRUE(system.Checkpoint().ok());
+  std::map<std::int64_t, Series> stored;
+  for (std::int64_t id = 0; id < system.next_id(); ++id) {
+    const std::size_t pos = system.engine()->PosForId(id);
+    if (pos == SIZE_MAX) continue;
+    const auto row = system.engine()->SeriesAt(pos);
+    stored[id] = Series(row.begin(), row.end());
+  }
+  Result<QbhSystem> opened = QbhSystem::Open(path, env);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  ExpectRowsInProbeOrder(*opened.value().engine(), queries);
+  ExpectSeriesAtIsTheArenaRow(*opened.value().engine(), stored);
+  env->Delete(path);
+  env->Delete(QbhSystem::WalPathFor(path));
+}
+
 TEST(QueryEngineTest, StatsPageAccessesPositive) {
   Rng rng(11);
   QueryEngineOptions opts;

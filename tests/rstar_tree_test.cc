@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <string>
 
 #include "index/linear_scan.h"
 #include "index/rstar_tree.h"
@@ -200,6 +202,60 @@ TEST(RStarTreeBasicsTest, CustomOptionsRespected) {
   for (std::int64_t id = 0; id < 500; ++id) tree.Insert(RandomPoint(&rng, 3), id);
   tree.CheckInvariants();
   EXPECT_GE(tree.Height(), 3u);  // small fanout forces depth
+}
+
+// FromPages restores each node sized to its stored entries; the first
+// append to a full one widens it. A restored tree answers like the
+// original, and the same inserts and deletes on both leave byte-identical
+// pages. A leaf entry whose lo and hi differ is not a point: corruption.
+TEST(RStarTreeBasicsTest, RestoredPagesAnswerAndAcceptMutations) {
+  Rng rng(17);
+  std::vector<Series> pts;
+  std::vector<std::int64_t> ids;
+  for (std::int64_t id = 0; id < 3000; ++id) {
+    pts.push_back(RandomPoint(&rng, 4));
+    ids.push_back(id);
+  }
+  auto original = RStarTree::BulkLoad(4, pts, ids);
+  std::string pages;
+  original->SerializePages(&pages);
+  std::unique_ptr<RStarTree> restored;
+  ASSERT_TRUE(RStarTree::FromPages(4, pages, RStarOptions(), &restored).ok());
+  restored->CheckInvariants();
+  for (int q = 0; q < 20; ++q) {
+    const Rect query = Rect::FromPoint(RandomPoint(&rng, 4));
+    IndexStats a, b;
+    EXPECT_EQ(original->RangeQuery(query, 4.0, &a),
+              restored->RangeQuery(query, 4.0, &b));
+    EXPECT_EQ(a.page_accesses, b.page_accesses);
+  }
+  for (std::int64_t id = 3000; id < 3600; ++id) {
+    const Series p = RandomPoint(&rng, 4);
+    original->Insert(p, id);
+    restored->Insert(p, id);
+  }
+  for (std::int64_t id = 0; id < 3000; id += 7) {
+    const Series& p = pts[static_cast<std::size_t>(id)];
+    ASSERT_TRUE(original->Delete(p, id));
+    ASSERT_TRUE(restored->Delete(p, id));
+  }
+  restored->CheckInvariants();
+  std::string after_original, after_restored;
+  original->SerializePages(&after_original);
+  restored->SerializePages(&after_restored);
+  EXPECT_EQ(after_original, after_restored);
+
+  RStarTree small(2);
+  small.Insert({1.0, 2.0}, 5);
+  std::string one;
+  small.SerializePages(&one);
+  // Header (17 bytes), root {page_id, level, count} (16), then the entry's
+  // lo (2 doubles) and hi: move hi[0] up so the box stays valid.
+  const double moved = 1.5;
+  std::memcpy(&one[17 + 16 + 2 * sizeof(double)], &moved, sizeof moved);
+  std::unique_ptr<RStarTree> bad;
+  const Status st = RStarTree::FromPages(2, one, RStarOptions(), &bad);
+  EXPECT_EQ(st.code(), Status::Code::kCorruption) << st.ToString();
 }
 
 TEST(RStarTreeBasicsTest, RectangleRangeQuerySemantics) {

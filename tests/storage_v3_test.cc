@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -362,15 +363,22 @@ TEST(StorageV3Test, MutationsAfterMappedOpenMatchAFreshBuild) {
   const QbhSystem built = MakeSystem(V3Options(), 30, /*seed=*/17);
   ExpectSameArenaRows(*mapped.engine(), *built.engine(), LiveIds(built));
 
-  // v3 rows follow ascending ids. Removing the last id moves nothing;
-  // removing the first then moves id 28's row into row 0, and removing a
-  // middle one moves id 27's row into row 15.
+  // v3 rows follow the checkpoint's row order, and removes swap the last
+  // row into the hole: removing the last row's id moves nothing, removing
+  // the id of the (new) last row's neighbour in row order does, twice.
   const DtwQueryEngine& engine = *mapped.engine();
-  ASSERT_TRUE(mapped.Remove(29).ok());
-  ASSERT_TRUE(mapped.Remove(0).ok());
-  ASSERT_TRUE(mapped.Remove(15).ok());
-  EXPECT_EQ(engine.PosForId(28), 0u);
-  EXPECT_EQ(engine.PosForId(27), 15u);
+  std::vector<std::int64_t> row_ids(engine.size());
+  for (std::int64_t id : LiveIds(mapped)) row_ids[engine.PosForId(id)] = id;
+  const std::int64_t last = row_ids[29];
+  const std::int64_t first = row_ids[0];
+  const std::int64_t middle = row_ids[15];
+  const std::int64_t moved_first = row_ids[28];  // the last row after `last`
+  const std::int64_t moved_middle = row_ids[27];
+  ASSERT_TRUE(mapped.Remove(last).ok());
+  ASSERT_TRUE(mapped.Remove(first).ok());
+  ASSERT_TRUE(mapped.Remove(middle).ok());
+  EXPECT_EQ(engine.PosForId(moved_first), 0u);
+  EXPECT_EQ(engine.PosForId(moved_middle), 15u);
   SongGenerator gen(71);
   for (Melody& m : gen.GeneratePhrases(2)) {
     ASSERT_TRUE(mapped.Insert(std::move(m)).ok());
@@ -389,7 +397,7 @@ TEST(StorageV3Test, MutationsAfterMappedOpenMatchAFreshBuild) {
 
   ExpectSameAnswers(mapped, fresh, /*hum_seed=*/19, /*hums=*/16);
   Hummer hummer(HummerProfile::Good(), 23);
-  for (std::int64_t moved : {28, 27}) {
+  for (std::int64_t moved : {moved_first, moved_middle}) {
     const Series q = mapped.HumToNormalForm(hummer.Hum(*mapped.melody(moved)));
     ASSERT_FALSE(q.empty());
     EXPECT_EQ(Bits(mapped.engine()->ExactDistance(q, moved)),
@@ -398,6 +406,94 @@ TEST(StorageV3Test, MutationsAfterMappedOpenMatchAFreshBuild) {
   }
   env->Delete(path);
   env->Delete(QbhSystem::WalPathFor(path));
+}
+
+// One row of a v3 image: its IDS entry, MELODIES frame and NORMALS bytes.
+struct ImageRow {
+  std::uint64_t id;
+  std::string frame;
+  std::string normal;
+};
+
+// The rows of a v3 image, in its row order.
+std::vector<ImageRow> RowsOf(const std::string& image, std::size_t normal_len) {
+  const std::string ids = SectionBytes(image, /*kSecIds=*/2);
+  const std::string melodies = SectionBytes(image, /*kSecMelodies=*/3);
+  const std::string normals = SectionBytes(image, /*kSecNormals=*/5);
+  std::vector<ImageRow> rows(LoadU64(ids, 0));
+  std::size_t frame_at = 0, normal_at = 0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    rows[i].id = LoadU64(ids, 8 * (1 + i));
+    const std::size_t len = LoadU32(melodies, frame_at);
+    rows[i].frame = melodies.substr(frame_at, 8 + len);
+    frame_at += 8 + len;
+    const std::size_t start = normal_at;
+    EXPECT_TRUE(codec::SkipSeries(normals, &normal_at, normal_len).ok());
+    rows[i].normal = normals.substr(start, normal_at - start);
+  }
+  return rows;
+}
+
+// `image` with its IDS, MELODIES and NORMALS sections replaced by `rows`,
+// every other section kept, checksums recomputed.
+std::string WithRows(const std::string& image,
+                     const std::vector<ImageRow>& rows) {
+  std::string ids(8, '\0'), melodies, normals;
+  const std::uint64_t n = rows.size();
+  std::memcpy(&ids[0], &n, 8);
+  for (const ImageRow& row : rows) {
+    ids.append(reinterpret_cast<const char*>(&row.id), 8);
+    melodies += row.frame;
+    normals += row.normal;
+  }
+  std::vector<std::pair<std::uint32_t, std::string>> sections;
+  for (const SectionSpan& s : SectionsOf(image)) {
+    std::string bytes = SectionBytes(image, s.type);
+    if (s.type == 2) bytes = ids;
+    if (s.type == 3) bytes = melodies;
+    if (s.type == 5) bytes = normals;
+    sections.emplace_back(s.type, std::move(bytes));
+  }
+  return AssembleV3(sections, LoadU64(image, 32), n);
+}
+
+TEST(StorageV3Test, IdsInAnyOrderOpenAndDuplicatesFail) {
+  // 300 melodies fill several R*-tree leaves, so the writer's leaf order is
+  // not ascending.
+  const QbhSystem built = MakeSystem(V3Options(), 300, /*seed=*/41);
+  const std::string image = SerializeQbhDatabase(built);
+  std::vector<ImageRow> rows = RowsOf(image, V3Options().normal_len);
+  ASSERT_EQ(rows.size(), 300u);
+  EXPECT_FALSE(std::is_sorted(rows.begin(), rows.end(),
+                              [](const ImageRow& a, const ImageRow& b) {
+                                return a.id < b.id;
+                              }));
+
+  // Reversed rows, and ascending ones as a legacy writer laid them out:
+  // both open, rows in the listed order, answers equal to a fresh build.
+  std::vector<ImageRow> ascending = rows;
+  std::sort(ascending.begin(), ascending.end(),
+            [](const ImageRow& a, const ImageRow& b) { return a.id < b.id; });
+  std::vector<ImageRow> reversed(rows.rbegin(), rows.rend());
+  for (const std::vector<ImageRow>* order : {&reversed, &ascending}) {
+    Result<QbhSystem> opened = ParseQbhDatabase(WithRows(image, *order));
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    const DtwQueryEngine& engine = *opened.value().engine();
+    for (std::size_t i = 0; i < order->size(); ++i) {
+      EXPECT_EQ(engine.PosForId(static_cast<std::int64_t>((*order)[i].id)), i);
+    }
+    EXPECT_EQ(opened.value().Digest(), built.Digest());
+    ExpectSameAnswers(opened.value(), built, /*hum_seed=*/43, /*hums=*/12);
+  }
+
+  // A duplicated id, with its frame and normal form copied along so every
+  // section agrees with the id list, is corruption.
+  std::vector<ImageRow> duplicated = rows;
+  duplicated[1] = duplicated[0];
+  Result<QbhSystem> dup = ParseQbhDatabase(WithRows(image, duplicated));
+  ASSERT_FALSE(dup.ok());
+  EXPECT_EQ(dup.status().code(), Status::Code::kCorruption)
+      << dup.status().ToString();
 }
 
 TEST(StorageV3Test, TombstonesAndNextIdSurviveTheBinaryRoundTrip) {
