@@ -21,8 +21,8 @@ namespace humdex::bench {
 ///   }
 ///
 /// Understands `--metrics_out=<path>`: after `run` returns, the default
-/// metrics registry (stage-latency histograms, buffer-pool and thread-pool
-/// counters accumulated during the run) is written to `path` as a JSON
+/// metrics registry (stage-latency histograms and thread-pool counters
+/// accumulated during the run) is written to `path` as a JSON
 /// snapshot, so every figure/ablation bench produces a machine-readable
 /// perf artifact alongside its table. Unknown arguments are ignored.
 int BenchMain(int argc, char** argv, const std::function<int()>& run);

@@ -3,11 +3,11 @@
 #   1. plain RelWithDebInfo build, full ctest suite, plus the exactness-gated
 #      ablations (cascade stages and kernels; mapped v3 checkpoint open);
 #   2. ThreadSanitizer build (-DHUMDEX_SANITIZE=thread), running the
-#      parallel-read-path tests (thread pool, batch queries, buffer pool
-#      stress), the TCP server's start/serve/stop tests (accept thread
-#      vs Stop, connection threads) and the v3 open (envelope rows derived
-#      on several threads) so the thread-safety guarantees are
-#      mechanically checked —
+#      parallel-read-path tests (thread pool, batch queries over every
+#      index backend, metrics), the TCP server's start/serve/stop tests
+#      (accept thread vs Stop, connection threads) and the v3 open
+#      (envelope rows derived on several threads) so the thread-safety
+#      guarantees are mechanically checked —
 #      once with the dispatched SIMD tier and once under
 #      HUMDEX_FORCE_SCALAR=1, so both kernel paths race under TSan;
 #   3. ASan+UBSan build (-DHUMDEX_SANITIZE=address+undefined), running the
@@ -16,7 +16,7 @@
 #      is mechanically checked —
 #      plus the SIMD kernel property tests, the envelope builder and
 #      outward-rounding tests, the cascade power-set exactness harness, the
-#      LB_Triangle property/metamorphic suites, and the R*-tree, bulk-load
+#      metamorphic suite, and the R*-tree, bulk-load
 #      and linear-scan tests (their node blocks are raw pointer
 #      arithmetic), once with
 #      the dispatched tier and once under HUMDEX_FORCE_SCALAR=1, so every
@@ -55,14 +55,14 @@ ctest --test-dir build --output-on-failure -j "$JOBS"
 echo "== [2/5] ThreadSanitizer build + concurrency tests =="
 cmake -B build-tsan -S . -DHUMDEX_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" --target \
-  thread_pool_test parallel_query_test buffer_pool_stress_test buffer_pool_test \
-  metrics_stress_test online_update_test server_test storage_v3_test
+  thread_pool_test parallel_query_test metrics_stress_test \
+  online_update_test server_test storage_v3_test
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'ThreadPool|ParallelQuery|QbhQueryBatch|BufferPool|MetricsStress|ConcurrentWriter|HumdexServer|StorageV3'
+  -R 'ThreadPool|ParallelQuery|QbhQueryBatch|MetricsStress|ConcurrentWriter|HumdexServer|StorageV3'
 # Same concurrency tests with the dispatcher demoted to the scalar
 # reference, so both kernel paths race under TSan.
 HUMDEX_FORCE_SCALAR=1 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'ThreadPool|ParallelQuery|QbhQueryBatch|BufferPool|MetricsStress|ConcurrentWriter|HumdexServer|StorageV3'
+  -R 'ThreadPool|ParallelQuery|QbhQueryBatch|MetricsStress|ConcurrentWriter|HumdexServer|StorageV3'
 
 echo "== [3/5] ASan+UBSan build + robustness tests =="
 cmake -B build-asan -S . -DHUMDEX_SANITIZE=address+undefined >/dev/null
@@ -72,12 +72,12 @@ cmake --build build-asan -j "$JOBS" --target \
   property_test metamorphic_test legacy_checkpoint_test storage_v3_test \
   delete_test envelope_test rstar_tree_test bulk_load_test linear_scan_test
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-  -R 'PosixEnv|FaultInjectingEnv|Retry|Corruption|CrashSafety|Salvage|Deadline|Cancel|Shedding|Observability|Storage|Fuzz|MelodyIo|WavIo|WalTest|OnlineUpdate|Recovery|Kernel|Cascade|LbImproved|TriangleBound|Metamorphic|EngineRemove|SystemRemove|Envelope|RStar|BulkLoad|LinearScan'
-# Same kernel/cascade/triangle/envelope/index-block tests with the
+  -R 'PosixEnv|FaultInjectingEnv|Retry|Corruption|CrashSafety|Salvage|Deadline|Cancel|Shedding|Observability|Storage|Fuzz|MelodyIo|WavIo|WalTest|OnlineUpdate|Recovery|Kernel|Cascade|LbImproved|Metamorphic|EngineRemove|SystemRemove|Envelope|RStar|BulkLoad|LinearScan'
+# Same kernel/cascade/metamorphic/envelope/index-block tests with the
 # dispatcher demoted to the scalar reference, so the scalar code paths also
 # run under ASan+UBSan.
 HUMDEX_FORCE_SCALAR=1 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-  -R 'Kernel|Cascade|LbImproved|TriangleBound|Metamorphic|Envelope|RStar|BulkLoad|LinearScan'
+  -R 'Kernel|Cascade|LbImproved|Metamorphic|Envelope|RStar|BulkLoad|LinearScan'
 
 echo "== [4/5] HUMDEX_SIMD=OFF build + kernel/cascade tests =="
 cmake -B build-nosimd -S . -DHUMDEX_SIMD=OFF >/dev/null

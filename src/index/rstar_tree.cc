@@ -35,7 +35,7 @@ struct RStarTree::Entry {
 
 struct RStarTree::Node {
   int level = 0;  // 0 = leaf
-  std::uint64_t page_id = 0;
+  std::uint64_t page_id = 0;  // serialized by SerializePages / FromPages
   Node* parent = nullptr;
   std::size_t count = 0;
   // Capacity in entries, a multiple of 4: M+1 (room for the overflow slot),
@@ -698,10 +698,6 @@ std::vector<std::int64_t> RStarTree::RangeQuery(const Rect& query, double radius
     const Node* node = stack.back();
     stack.pop_back();
     ++pages;
-    // Pin while the node is scanned so a concurrent reader's miss cannot
-    // evict a page that is actively being read.
-    LruBufferPool::PageGuard guard;
-    if (pool_ != nullptr) guard = pool_->Pin(node->page_id);
     score(query.lo.data(), query.hi.data(), node->block.get(),
           node->hi(dims_), dims_, node->count, node->stride, scores.data());
     // Branch-free compaction: every entry is written, survivors advance.
@@ -762,8 +758,6 @@ std::vector<Neighbor> RStarTree::NearestToRect(const Rect& query, std::size_t k,
     }
     const Node* node = item.node;
     ++pages;
-    LruBufferPool::PageGuard guard;
-    if (pool_ != nullptr) guard = pool_->Pin(node->page_id);
     score(query.lo.data(), query.hi.data(), node->block.get(),
           node->hi(dims_), dims_, node->count, node->stride, scores.data());
     for (std::size_t i = 0; i < node->count; ++i) {

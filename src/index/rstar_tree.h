@@ -24,7 +24,6 @@
 #include <string_view>
 #include <vector>
 
-#include "index/buffer_pool.h"
 #include "index/rect.h"
 #include "util/status.h"
 
@@ -104,13 +103,6 @@ class RStarTree : public SpatialIndex {
                           RStarOptions options,
                           std::unique_ptr<RStarTree>* out);
 
-  /// Route every node visit of subsequent queries through `pool` (each node
-  /// is one page, pinned while it is scanned). Pass nullptr to detach. The
-  /// pool must outlive its use; hit/miss statistics are read from the pool
-  /// itself. Queries through a shared pool are safe from multiple threads;
-  /// Attach/Detach itself must not race with in-flight queries.
-  void AttachBufferPool(LruBufferPool* pool) { pool_ = pool; }
-
  private:
   struct Node;
   struct Entry;
@@ -144,7 +136,6 @@ class RStarTree : public SpatialIndex {
   std::size_t size_ = 0;
   bool bulk_loaded_ = false;  // packing leaves one underfull node per level
   std::uint64_t next_page_id_ = 0;
-  LruBufferPool* pool_ = nullptr;
 };
 
 }  // namespace humdex

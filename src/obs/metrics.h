@@ -3,7 +3,7 @@
 //
 // The paper's §5.3 cost measures (candidate ratios, page accesses) live in
 // QueryStats; this layer adds the wall-clock side — per-stage latency
-// distributions, buffer-pool hit rates, thread-pool load — cheap enough to
+// distributions, serving and thread-pool counters — cheap enough to
 // leave on in production builds: every hot-path update is a relaxed atomic
 // add, histograms shard their bucket arrays by thread so concurrent Record()
 // calls do not contend, and name lookup happens once per call site (cache the
@@ -47,7 +47,7 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Instantaneous signed level (queue depth, resident pages, ...).
+/// Instantaneous signed level (queue depth, ...).
 class Gauge {
  public:
   void Set(std::int64_t v) { value_.store(v, std::memory_order_relaxed); }

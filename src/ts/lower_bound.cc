@@ -99,23 +99,4 @@ double LbImproved(const Series& x, const Series& y, std::size_t k) {
       std::numeric_limits<double>::infinity()));
 }
 
-double EnvelopeGap(const Envelope& a, const Envelope& b) {
-  HUMDEX_CHECK(a.size() == b.size());
-  double sum = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    double dlo = std::fabs(a.lower[i] - b.lower[i]);
-    double dhi = std::fabs(a.upper[i] - b.upper[i]);
-    double d = std::max(dlo, dhi);
-    sum += d * d;
-  }
-  return std::sqrt(sum);
-}
-
-double LbTriangle(const Series& x, const Envelope& env_ref,
-                  const Envelope& env_y) {
-  HUMDEX_CHECK(x.size() == env_ref.size() && x.size() == env_y.size());
-  return std::max(0.0,
-                  DistanceToEnvelope(x, env_ref) - EnvelopeGap(env_ref, env_y));
-}
-
 }  // namespace humdex

@@ -64,40 +64,4 @@ double SquaredLbImprovedSecondPass(const Series& x, const Series& y,
                                    const Envelope& env_y, std::size_t k,
                                    double abandon_at_sq);
 
-/// Envelope gap h(A, B): how far the point of A closest to any fixed series
-/// can move when it is clamped into B (and vice versa — the gap is symmetric):
-///
-///   h(A, B)^2 = sum_i max(|A.lower[i] - B.lower[i]|, |A.upper[i] - B.upper[i]|)^2
-///
-/// For any series x and envelopes A, B of equal length,
-///
-///   d(x, B) >= d(x, A) - h(A, B)
-///
-/// where d is the Euclidean series-to-envelope distance (Definition 7): take
-/// p* in B realizing d(x, B) (the pointwise clamp of x into B) and clamp it
-/// into A; each coordinate moves by at most max(|loA-loB|, |hiA-hiB|) — if
-/// p*_i > A.upper[i] the move is p*_i - A.upper[i] <= B.upper[i] - A.upper[i],
-/// symmetrically below — so d(x, A) <= d(x, B) + h(A, B) by the Euclidean
-/// triangle inequality. NOTE this reverse triangle runs through Euclidean
-/// envelope distances, which ARE a metric projection; DTW itself violates the
-/// triangle inequality (see gemini/fastmap.h), so |DTW(x,r) - DTW(r,y)| is
-/// NOT a valid lower bound and is deliberately not offered here.
-/// Envelope sizes must match.
-double EnvelopeGap(const Envelope& a, const Envelope& b);
-
-/// The reference-point bound LB_Triangle: with env_ref the
-/// k-envelope of a reference series r and env_y the k-envelope of y,
-///
-///   LB_Triangle(x, y; r) = max(0, d(x, env_ref) - h(env_ref, env_y))
-///                       <= d(x, env_y) = LB_Keogh(x, env_y) <= LDTW_k(x, y).
-///
-/// d(x, env_ref) is one envelope distance per *query*, h(env_ref, env_y) is
-/// precomputable per *data* series, so the per-candidate cost is O(1) per
-/// reference. Never tighter than LB_Keogh — it trades tightness for cost. A
-/// library bound, not a query-cascade stage: on melody normal forms it
-/// prunes almost nothing LB_Keogh keeps (DESIGN.md §11). All series/envelope
-/// lengths must match.
-double LbTriangle(const Series& x, const Envelope& env_ref,
-                  const Envelope& env_y);
-
 }  // namespace humdex

@@ -101,64 +101,6 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0u, 3u, 6u, 13u),
                        ::testing::Values(4u, 8u, 16u)));
 
-// DESIGN.md §11: the reference-point bound chain. For any reference r,
-// LB_Triangle(x, r, y) <= LB_Keogh(x, Env(y)) <= LDTW(x, y) — the triangle
-// bound relaxes the reverse Keogh bound through a reference envelope, so it
-// must never cross either. Swept over every data family and band width.
-class TriangleBoundSweep
-    : public ::testing::TestWithParam<std::tuple<DataFamily, std::size_t>> {};
-
-TEST_P(TriangleBoundSweep, TriangleNeverExceedsKeoghNorDtw) {
-  auto [family, k] = GetParam();
-  const std::size_t n = 64;
-  Rng rng(static_cast<std::uint64_t>(31000 + static_cast<int>(family) * 50 +
-                                     k));
-  for (int trial = 0; trial < 25; ++trial) {
-    Series x = MakeSeries(family, &rng, n);
-    Series y = MakeSeries(family, &rng, n);
-    Series r = MakeSeries(family, &rng, n);
-    Envelope env_y = BuildEnvelope(y, k);
-    Envelope env_r = BuildEnvelope(r, k);
-    double tri = LbTriangle(x, env_r, env_y);
-    double keogh = DistanceToEnvelope(x, env_y);
-    double dtw = LdtwDistance(x, y, k);
-    EXPECT_GE(tri, 0.0);
-    EXPECT_LE(tri, keogh + 1e-9) << "family=" << static_cast<int>(family)
-                                 << " k=" << k << " trial=" << trial;
-    EXPECT_LE(keogh, dtw + 1e-9);
-  }
-}
-
-TEST_P(TriangleBoundSweep, EnvelopeGapReverseTriangleHolds) {
-  // The inequality LbTriangle is built from: for every point series x and
-  // envelope pair A, B,  d(x, B) >= d(x, A) - h(A, B)  where h is
-  // EnvelopeGap. Also pins down h's metric-flavored basics: symmetry and
-  // h(A, A) == 0.
-  auto [family, k] = GetParam();
-  const std::size_t n = 64;
-  Rng rng(static_cast<std::uint64_t>(37000 + static_cast<int>(family) * 50 +
-                                     k));
-  for (int trial = 0; trial < 25; ++trial) {
-    Series x = MakeSeries(family, &rng, n);
-    Envelope a = BuildEnvelope(MakeSeries(family, &rng, n), k);
-    Envelope b = BuildEnvelope(MakeSeries(family, &rng, n), k);
-    double h = EnvelopeGap(a, b);
-    EXPECT_EQ(h, EnvelopeGap(b, a));
-    EXPECT_EQ(EnvelopeGap(a, a), 0.0);
-    EXPECT_GE(DistanceToEnvelope(x, b),
-              DistanceToEnvelope(x, a) - h - 1e-9)
-        << "family=" << static_cast<int>(family) << " k=" << k;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, TriangleBoundSweep,
-    ::testing::Combine(::testing::Values(DataFamily::kRandomWalk,
-                                         DataFamily::kWhiteNoise,
-                                         DataFamily::kSine, DataFamily::kStep,
-                                         DataFamily::kMelodyLike),
-                       ::testing::Values(0u, 3u, 6u, 13u)));
-
 class NewBeatsKeoghSweep
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
 
